@@ -96,7 +96,8 @@ void table1() {
     const auto stats = advice::apply_oracle(inst, *scheme.oracle);
     const auto delays = sim::unit_delay();
     const auto r =
-        sim::run_async(inst, *delays, w.schedule, 1, scheme.algorithm);
+        sim::run_async(inst, *delays, w.schedule, 1,
+                       scheme.algorithm.process_factory());
     table.add_row({name, "async KT0 CONGEST",
                    bench::fmt_f(r.metrics.time_units(), 0) + " units",
                    bench::fmt_u(r.metrics.messages),

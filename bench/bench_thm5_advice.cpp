@@ -42,7 +42,8 @@ Row measure(const graph::Graph& g, const advice::AdvisingScheme& scheme,
   const auto schedule = sim::wake_random_subset(g.num_nodes(), 0.15, srng);
   const auto delays = sim::unit_delay();
   const auto result =
-      sim::run_async(inst, *delays, schedule, seed, scheme.algorithm);
+      sim::run_async(inst, *delays, schedule, seed,
+                     scheme.algorithm.process_factory());
   return {name, result.metrics.time_units(), result.metrics.messages,
           stats.max_bits, stats.avg_bits};
 }

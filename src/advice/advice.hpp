@@ -29,13 +29,12 @@ class AdvisingOracle {
 sim::Instance::AdviceStats apply_oracle(sim::Instance& instance,
                                         const AdvisingOracle& oracle);
 
-/// An oracle + algorithm pair. `kernel` is the algorithm's flat-SoA fast
-/// path (sim/kernel.hpp), bit-identical to `algorithm`; every shipped scheme
-/// provides one.
+/// An oracle + algorithm pair. `algorithm` is the family's one handle
+/// (sim/kernel.hpp): it runs the flat kernel under either engine, and
+/// algorithm.process_factory() yields the same algorithm as Processes.
 struct AdvisingScheme {
   std::unique_ptr<AdvisingOracle> oracle;
-  sim::ProcessFactory algorithm;
-  sim::KernelRunner kernel;
+  sim::KernelRunner algorithm;
 };
 
 }  // namespace rise::advice

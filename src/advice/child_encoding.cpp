@@ -82,98 +82,15 @@ class ChildEncodingOracle final : public AdvisingOracle {
   unsigned arity_;
 };
 
-class ChildEncodingProcess final : public sim::Process {
- public:
-  void on_wake(sim::Context& ctx, sim::WakeCause cause) override {
-    obs::NodeProbe probe = ctx.probe();
-    probe.phase("advice.forward");
-    probe.count("advice.decodes");
-    advice_ = decode_cen_advice(ctx.advice());
-    if (cause == sim::WakeCause::kAdversary) {
-      notify_parent(ctx);
-      start_children(ctx);
-    }
-  }
-
-  void on_message(sim::Context& ctx, const sim::Incoming& in) override {
-    switch (in.msg.type) {
-      case kCenWakeChild: {
-        // Our parent is clearly awake; answer with our next-sibling pair so
-        // the parent can continue the binary dissemination.
-        parent_notified_ = true;
-        sim::PayloadWords payload;
-        payload.push_back(
-            (advice_.has_next_a ? 1u : 0u) | (advice_.has_next_b ? 2u : 0u));
-        payload.push_back(advice_.has_next_a ? advice_.next_a : 0);
-        payload.push_back(advice_.has_next_b ? advice_.next_b : 0);
-        ctx.send(in.port, sim::make_message(kCenNext, std::move(payload),
-                                            8 + 2 * ctx.label_bits()));
-        start_children(ctx);
-        break;
-      }
-      case kCenNext: {
-        const std::uint64_t flags = in.msg.payload[0];
-        const sim::Message wake = sim::make_message(kCenWakeChild, {}, 8);
-        if (flags & 1u) {
-          ctx.send(static_cast<sim::Port>(in.msg.payload[1]), wake);
-        }
-        if (flags & 2u) {
-          ctx.send(static_cast<sim::Port>(in.msg.payload[2]), wake);
-        }
-        break;
-      }
-      case kCenWakeParent: {
-        // A child woke independently; wake our own parent and the rest of
-        // the family.
-        notify_parent(ctx);
-        start_children(ctx);
-        break;
-      }
-      default:
-        RISE_CHECK_MSG(false, "CEN: unexpected message type " << in.msg.type);
-    }
-  }
-
- private:
-  void notify_parent(sim::Context& ctx) {
-    if (parent_notified_ || !advice_.has_parent) return;
-    parent_notified_ = true;
-    ctx.send(advice_.parent, sim::make_message(kCenWakeParent, {}, 8));
-  }
-
-  void start_children(sim::Context& ctx) {
-    if (started_ || !advice_.has_first_child) {
-      started_ = true;
-      return;
-    }
-    started_ = true;
-    ctx.send(advice_.first_child, sim::make_message(kCenWakeChild, {}, 8));
-  }
-
-  CenAdvice advice_;
-  bool parent_notified_ = false;
-  bool started_ = false;
-};
-
-/// Kernel port of ChildEncodingProcess: decoded advice + two flags per node.
-class ChildEncodingKernel {
- public:
+struct ChildEncoding {
   struct State {
     CenAdvice advice;
     bool parent_notified = false;
     bool started = false;
   };
-  using States = std::vector<State>;
-
-  void reset(const sim::Instance& instance, sim::RunWorkspace* workspace) {
-    states_ = &sim::acquire_kernel_state(workspace, own_);
-    states_->clear();
-    states_->resize(instance.num_nodes());
-  }
 
   template <class Ctx>
-  void on_wake(Ctx& ctx, sim::WakeCause cause) {
-    State& self = (*states_)[ctx.node()];
+  void on_wake(Ctx& ctx, State& self, sim::WakeCause cause) const {
     obs::NodeProbe probe = ctx.probe();
     probe.phase("advice.forward");
     probe.count("advice.decodes");
@@ -185,8 +102,7 @@ class ChildEncodingKernel {
   }
 
   template <class Ctx>
-  void on_message(Ctx& ctx, const sim::Incoming& in) {
-    State& self = (*states_)[ctx.node()];
+  void on_message(Ctx& ctx, State& self, const sim::Incoming& in) const {
     switch (in.msg.type) {
       case kCenWakeChild: {
         // Our parent is clearly awake; answer with our next-sibling pair so
@@ -226,20 +142,14 @@ class ChildEncodingKernel {
   }
 
   template <class Ctx>
-  void on_round(Ctx& ctx, std::span<const sim::Incoming> inbox) {
-    for (const sim::Incoming& in : inbox) on_message(ctx, in);
-  }
-
- private:
-  template <class Ctx>
-  void notify_parent(Ctx& ctx, State& self) {
+  void notify_parent(Ctx& ctx, State& self) const {
     if (self.parent_notified || !self.advice.has_parent) return;
     self.parent_notified = true;
     ctx.send(self.advice.parent, sim::make_message(kCenWakeParent, {}, 8));
   }
 
   template <class Ctx>
-  void start_children(Ctx& ctx, State& self) {
+  void start_children(Ctx& ctx, State& self) const {
     if (self.started || !self.advice.has_first_child) {
       self.started = true;
       return;
@@ -248,9 +158,6 @@ class ChildEncodingKernel {
     ctx.send(self.advice.first_child,
              sim::make_message(kCenWakeChild, {}, 8));
   }
-
-  States own_;
-  States* states_ = nullptr;
 };
 
 }  // namespace
@@ -276,16 +183,15 @@ std::unique_ptr<AdvisingOracle> child_encoding_oracle(graph::NodeId root,
 }
 
 sim::ProcessFactory child_encoding_factory() {
-  return [](sim::NodeId) { return std::make_unique<ChildEncodingProcess>(); };
+  return sim::process_factory(ChildEncoding{});
 }
 
 sim::KernelRunner child_encoding_kernel() {
-  return sim::make_kernel(ChildEncodingKernel{});
+  return sim::make_kernel(ChildEncoding{});
 }
 
 AdvisingScheme child_encoding_scheme(graph::NodeId root) {
-  return {child_encoding_oracle(root), child_encoding_factory(),
-          child_encoding_kernel()};
+  return {child_encoding_oracle(root), child_encoding_kernel()};
 }
 
 }  // namespace rise::advice

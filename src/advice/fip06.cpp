@@ -80,74 +80,27 @@ class Fip06Oracle final : public AdvisingOracle {
   graph::NodeId root_;
 };
 
-class Fip06Process final : public sim::Process {
- public:
-  void on_wake(sim::Context& ctx, sim::WakeCause cause) override {
-    if (cause == sim::WakeCause::kAdversary) {
-      propagate(ctx, sim::kInvalidPort);
-    }
-    // Message-woken nodes propagate from on_message, where the arrival port
-    // is known.
-  }
-
-  void on_message(sim::Context& ctx, const sim::Incoming& in) override {
-    propagate(ctx, in.port);
-  }
-
- private:
-  void propagate(sim::Context& ctx, sim::Port skip) {
-    if (done_) return;
-    done_ = true;
-    obs::NodeProbe probe = ctx.probe();
-    probe.phase("advice.forward");
-    probe.count("advice.decodes");
-    BitReader r(ctx.advice());
-    for (sim::Port p : decode_port_set(r, ctx.degree())) {
-      if (p == skip) continue;
-      ctx.send(p, sim::make_message(kTreeWake, {}, 8));
-    }
-  }
-
-  bool done_ = false;
-};
-
-/// Kernel port of Fip06Process: one done-flag per node.
-class Fip06Kernel {
- public:
+struct Fip06 {
   struct State {
     bool done = false;
   };
-  using States = std::vector<State>;
-
-  void reset(const sim::Instance& instance, sim::RunWorkspace* workspace) {
-    states_ = &sim::acquire_kernel_state(workspace, own_);
-    states_->clear();
-    states_->resize(instance.num_nodes());
-  }
 
   template <class Ctx>
-  void on_wake(Ctx& ctx, sim::WakeCause cause) {
+  void on_wake(Ctx& ctx, State& self, sim::WakeCause cause) const {
     if (cause == sim::WakeCause::kAdversary) {
-      propagate(ctx, sim::kInvalidPort);
+      propagate(ctx, self, sim::kInvalidPort);
     }
     // Message-woken nodes propagate from on_message, where the arrival port
     // is known.
   }
 
   template <class Ctx>
-  void on_message(Ctx& ctx, const sim::Incoming& in) {
-    propagate(ctx, in.port);
+  void on_message(Ctx& ctx, State& self, const sim::Incoming& in) const {
+    propagate(ctx, self, in.port);
   }
 
   template <class Ctx>
-  void on_round(Ctx& ctx, std::span<const sim::Incoming> inbox) {
-    for (const sim::Incoming& in : inbox) on_message(ctx, in);
-  }
-
- private:
-  template <class Ctx>
-  void propagate(Ctx& ctx, sim::Port skip) {
-    State& self = (*states_)[ctx.node()];
+  void propagate(Ctx& ctx, State& self, sim::Port skip) const {
     if (self.done) return;
     self.done = true;
     obs::NodeProbe probe = ctx.probe();
@@ -159,9 +112,6 @@ class Fip06Kernel {
       ctx.send(p, sim::make_message(kTreeWake, {}, 8));
     }
   }
-
-  States own_;
-  States* states_ = nullptr;
 };
 
 }  // namespace
@@ -170,14 +120,12 @@ std::unique_ptr<AdvisingOracle> fip06_oracle(graph::NodeId root) {
   return std::make_unique<Fip06Oracle>(root);
 }
 
-sim::ProcessFactory fip06_factory() {
-  return [](sim::NodeId) { return std::make_unique<Fip06Process>(); };
-}
+sim::ProcessFactory fip06_factory() { return sim::process_factory(Fip06{}); }
 
-sim::KernelRunner fip06_kernel() { return sim::make_kernel(Fip06Kernel{}); }
+sim::KernelRunner fip06_kernel() { return sim::make_kernel(Fip06{}); }
 
 AdvisingScheme fip06_scheme(graph::NodeId root) {
-  return {fip06_oracle(root), fip06_factory(), fip06_kernel()};
+  return {fip06_oracle(root), fip06_kernel()};
 }
 
 }  // namespace rise::advice

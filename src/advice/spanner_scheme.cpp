@@ -116,81 +116,14 @@ class SpannerOracle final : public AdvisingOracle {
   unsigned k_;
 };
 
-class SpannerProcess final : public sim::Process {
- public:
-  void on_wake(sim::Context& ctx, sim::WakeCause cause) override {
-    obs::NodeProbe probe = ctx.probe();
-    probe.phase("advice.forward");
-    probe.count("advice.decodes");
-    advice_ = decode_node_advice(ctx.advice());
-    if (cause == sim::WakeCause::kAdversary) start(ctx);
-  }
-
-  void on_message(sim::Context& ctx, const sim::Incoming& in) override {
-    switch (in.msg.type) {
-      case kSpWake: {
-        // Reply with our next-sibling pair in the sender's heap so its
-        // dissemination continues, then wake our own spanner neighborhood.
-        const auto it = advice_.records.find(in.port);
-        RISE_CHECK_MSG(it != advice_.records.end(),
-                       "spanner wake arrived over a non-spanner edge");
-        const NextPair& next = it->second;
-        sim::PayloadWords payload{
-            (next.has_a ? 1u : 0u) | (next.has_b ? 2u : 0u),
-            next.has_a ? next.a : 0, next.has_b ? next.b : 0};
-        ctx.send(in.port, sim::make_message(kSpNext, std::move(payload),
-                                            8 + 2 * ctx.label_bits()));
-        start(ctx);
-        break;
-      }
-      case kSpNext: {
-        const std::uint64_t flags = in.msg.payload[0];
-        const sim::Message wake = sim::make_message(kSpWake, {}, 8);
-        if (flags & 1u) {
-          ctx.send(static_cast<sim::Port>(in.msg.payload[1]), wake);
-        }
-        if (flags & 2u) {
-          ctx.send(static_cast<sim::Port>(in.msg.payload[2]), wake);
-        }
-        break;
-      }
-      default:
-        RISE_CHECK_MSG(false,
-                       "spanner scheme: unexpected message " << in.msg.type);
-    }
-  }
-
- private:
-  void start(sim::Context& ctx) {
-    if (started_) return;
-    started_ = true;
-    if (advice_.has_first) {
-      ctx.send(advice_.first, sim::make_message(kSpWake, {}, 8));
-    }
-  }
-
-  NodeAdvice advice_;
-  bool started_ = false;
-};
-
-/// Kernel port of SpannerProcess: decoded advice + start flag per node.
-class SpannerKernel {
- public:
+struct SpannerWake {
   struct State {
     NodeAdvice advice;
     bool started = false;
   };
-  using States = std::vector<State>;
-
-  void reset(const sim::Instance& instance, sim::RunWorkspace* workspace) {
-    states_ = &sim::acquire_kernel_state(workspace, own_);
-    states_->clear();
-    states_->resize(instance.num_nodes());
-  }
 
   template <class Ctx>
-  void on_wake(Ctx& ctx, sim::WakeCause cause) {
-    State& self = (*states_)[ctx.node()];
+  void on_wake(Ctx& ctx, State& self, sim::WakeCause cause) const {
     obs::NodeProbe probe = ctx.probe();
     probe.phase("advice.forward");
     probe.count("advice.decodes");
@@ -199,8 +132,7 @@ class SpannerKernel {
   }
 
   template <class Ctx>
-  void on_message(Ctx& ctx, const sim::Incoming& in) {
-    State& self = (*states_)[ctx.node()];
+  void on_message(Ctx& ctx, State& self, const sim::Incoming& in) const {
     switch (in.msg.type) {
       case kSpWake: {
         // Reply with our next-sibling pair in the sender's heap so its
@@ -235,22 +167,13 @@ class SpannerKernel {
   }
 
   template <class Ctx>
-  void on_round(Ctx& ctx, std::span<const sim::Incoming> inbox) {
-    for (const sim::Incoming& in : inbox) on_message(ctx, in);
-  }
-
- private:
-  template <class Ctx>
-  void start(Ctx& ctx, State& self) {
+  void start(Ctx& ctx, State& self) const {
     if (self.started) return;
     self.started = true;
     if (self.advice.has_first) {
       ctx.send(self.advice.first, sim::make_message(kSpWake, {}, 8));
     }
   }
-
-  States own_;
-  States* states_ = nullptr;
 };
 
 }  // namespace
@@ -261,20 +184,17 @@ std::unique_ptr<AdvisingOracle> spanner_oracle(unsigned k) {
 }
 
 sim::ProcessFactory spanner_factory() {
-  return [](sim::NodeId) { return std::make_unique<SpannerProcess>(); };
+  return sim::process_factory(SpannerWake{});
 }
 
-sim::KernelRunner spanner_kernel() {
-  return sim::make_kernel(SpannerKernel{});
-}
+sim::KernelRunner spanner_kernel() { return sim::make_kernel(SpannerWake{}); }
 
 AdvisingScheme spanner_scheme(unsigned k) {
-  return {spanner_oracle(k), spanner_factory(), spanner_kernel()};
+  return {spanner_oracle(k), spanner_kernel()};
 }
 
 AdvisingScheme corollary2_scheme() {
-  return {std::make_unique<SpannerOracle>(0), spanner_factory(),
-          spanner_kernel()};
+  return {std::make_unique<SpannerOracle>(0), spanner_kernel()};
 }
 
 }  // namespace rise::advice

@@ -45,77 +45,25 @@ class SqrtThresholdOracle final : public AdvisingOracle {
   double threshold_;
 };
 
-class SqrtThresholdProcess final : public sim::Process {
- public:
-  void on_wake(sim::Context& ctx, sim::WakeCause cause) override {
-    if (cause == sim::WakeCause::kAdversary) propagate(ctx, sim::kInvalidPort);
-  }
-
-  void on_message(sim::Context& ctx, const sim::Incoming& in) override {
-    propagate(ctx, in.port);
-  }
-
- private:
-  void propagate(sim::Context& ctx, sim::Port skip) {
-    if (done_) return;
-    done_ = true;
-    obs::NodeProbe probe = ctx.probe();
-    probe.count("advice.decodes");
-    BitReader r(ctx.advice());
-    const sim::Message wake = sim::make_message(kTreeWake, {}, 8);
-    if (r.read_bit()) {
-      probe.phase("advice.broadcast");
-      probe.node_class("high_degree");
-      for (sim::Port p = 0; p < ctx.degree(); ++p) {
-        if (p != skip) ctx.send(p, wake);
-      }
-      return;
-    }
-    probe.phase("advice.forward");
-    const unsigned width = std::max(1u, bit_width_for(ctx.degree()));
-    const std::uint64_t count = r.read_gamma();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const auto p = static_cast<sim::Port>(r.read_bits(width));
-      if (p != skip) ctx.send(p, wake);
-    }
-  }
-
-  bool done_ = false;
-};
-
-/// Kernel port of SqrtThresholdProcess: one done-flag per node.
-class SqrtThresholdKernel {
- public:
+struct SqrtThreshold {
   struct State {
     bool done = false;
   };
-  using States = std::vector<State>;
 
-  void reset(const sim::Instance& instance, sim::RunWorkspace* workspace) {
-    states_ = &sim::acquire_kernel_state(workspace, own_);
-    states_->clear();
-    states_->resize(instance.num_nodes());
+  template <class Ctx>
+  void on_wake(Ctx& ctx, State& self, sim::WakeCause cause) const {
+    if (cause == sim::WakeCause::kAdversary) {
+      propagate(ctx, self, sim::kInvalidPort);
+    }
   }
 
   template <class Ctx>
-  void on_wake(Ctx& ctx, sim::WakeCause cause) {
-    if (cause == sim::WakeCause::kAdversary) propagate(ctx, sim::kInvalidPort);
+  void on_message(Ctx& ctx, State& self, const sim::Incoming& in) const {
+    propagate(ctx, self, in.port);
   }
 
   template <class Ctx>
-  void on_message(Ctx& ctx, const sim::Incoming& in) {
-    propagate(ctx, in.port);
-  }
-
-  template <class Ctx>
-  void on_round(Ctx& ctx, std::span<const sim::Incoming> inbox) {
-    for (const sim::Incoming& in : inbox) on_message(ctx, in);
-  }
-
- private:
-  template <class Ctx>
-  void propagate(Ctx& ctx, sim::Port skip) {
-    State& self = (*states_)[ctx.node()];
+  void propagate(Ctx& ctx, State& self, sim::Port skip) const {
     if (self.done) return;
     self.done = true;
     obs::NodeProbe probe = ctx.probe();
@@ -138,9 +86,6 @@ class SqrtThresholdKernel {
       if (p != skip) ctx.send(p, wake);
     }
   }
-
-  States own_;
-  States* states_ = nullptr;
 };
 
 }  // namespace
@@ -151,16 +96,15 @@ std::unique_ptr<AdvisingOracle> sqrt_threshold_oracle(graph::NodeId root,
 }
 
 sim::ProcessFactory sqrt_threshold_factory() {
-  return [](sim::NodeId) { return std::make_unique<SqrtThresholdProcess>(); };
+  return sim::process_factory(SqrtThreshold{});
 }
 
 sim::KernelRunner sqrt_threshold_kernel() {
-  return sim::make_kernel(SqrtThresholdKernel{});
+  return sim::make_kernel(SqrtThreshold{});
 }
 
 AdvisingScheme sqrt_threshold_scheme(graph::NodeId root) {
-  return {sqrt_threshold_oracle(root), sqrt_threshold_factory(),
-          sqrt_threshold_kernel()};
+  return {sqrt_threshold_oracle(root), sqrt_threshold_kernel()};
 }
 
 }  // namespace rise::advice

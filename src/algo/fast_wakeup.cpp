@@ -12,7 +12,6 @@ namespace rise::algo {
 
 namespace {
 
-using sim::Context;
 using sim::Incoming;
 using sim::Label;
 using sim::Message;
@@ -69,327 +68,10 @@ std::map<Label, std::vector<Label>> parse_groups(const Message& msg) {
   return groups;
 }
 
-class FastWakeup final : public sim::Process {
- public:
-  FastWakeup(FastWakeupProbe* probe, double root_probability)
-      : probe_(probe), root_probability_(root_probability) {}
-
-  void on_wake(Context&, sim::WakeCause cause) override {
-    if (cause == sim::WakeCause::kAdversary) {
-      pending_activation_ = true;
-    } else {
-      woke_by_message_ = true;  // classified while processing the inbox
-    }
-  }
-
-  void on_message(Context&, const Incoming&) override {
-    RISE_CHECK_MSG(false, "FastWakeup requires the synchronous engine");
-  }
-
-  void on_round(Context& ctx, std::span<const Incoming> inbox) override {
-    // Deactivation deadlines fire before anything else in a round, so a
-    // node deactivated by a completing tree never executes the broadcast
-    // step of the same round (Sec. 3.2.1 status updates).
-    if (deact_deadline_ != sim::kNever &&
-        ctx.local_round() >= deact_deadline_) {
-      status_ = Status::kDeactivated;
-    }
-    if (pending_activation_) {
-      pending_activation_ = false;
-      become_active(ctx);
-    }
-
-    for (const Incoming& in : inbox) handle(ctx, in);
-    woke_by_message_ = false;
-
-    if (status_ == Status::kActive) {
-      run_active_step(ctx);
-    }
-    if (status_ == Status::kActive ||
-        (deact_deadline_ != sim::kNever && status_ != Status::kDeactivated)) {
-      ctx.request_tick();
-    }
-  }
-
- private:
-  enum class Status : std::uint8_t {
-    kUnwoken,
-    kActive,
-    kJoined,  ///< woken by joining a tree at level 1/2; never broadcasts
-    kDeactivated,
-  };
-
-  struct RootState {
-    std::map<Label, std::vector<Label>> l1_lists;   // L1 label -> its nbrs
-    std::map<Label, std::vector<Label>> s2_assign;  // L1 label -> L2 children
-    std::map<Label, Label> l2_parent;               // L2 label -> L1 parent
-    std::size_t expected_l1 = 0;
-    std::size_t expected_fwd = 0;
-    std::map<Label, std::vector<Label>> l2_lists;   // L2 label -> its nbrs
-    bool s2_done = false;
-    bool s3_done = false;
-  };
-
-  struct L1State {
-    Port parent = sim::kInvalidPort;
-    std::vector<Label> children;                   // assigned L2 children
-    std::map<Label, std::vector<Label>> collected;  // child -> its nbr list
-    bool forwarded = false;
-  };
-
-  struct L2State {
-    Port parent = sim::kInvalidPort;
-  };
-
-  void become_active(Context& ctx) {
-    if (status_ != Status::kUnwoken) return;
-    status_ = Status::kActive;
-    activation_round_ = ctx.local_round();
-    ctx.probe().phase("fw.sample");
-    sample(ctx);
-  }
-
-  void sample(Context& ctx) {
-    double p = root_probability_;
-    if (p < 0.0) {
-      const double n = static_cast<double>(ctx.n_upper_bound());
-      p = std::sqrt(std::log(n) / n);
-    }
-    if (ctx.rng().chance(p)) {
-      is_root_ = true;
-      if (probe_ != nullptr) ++probe_->roots_sampled;
-      // Construction takes 9 rounds; deactivate when it completes.
-      deact_deadline_ = std::min(deact_deadline_, ctx.local_round() + 9);
-      start_tree(ctx);
-    }
-  }
-
-  void start_tree(Context& ctx) {
-    obs::NodeProbe obs_probe = ctx.probe();
-    obs_probe.phase("fw.tree");
-    obs_probe.node_class("root");
-    obs_probe.count("fw.roots_sampled");
-    root_state_.expected_l1 = ctx.degree();
-    const Label me = ctx.my_label();
-    for (Port p = 0; p < ctx.degree(); ++p) {
-      ctx.send(p, sim::make_message(kFwInvite1, {me},
-                                    16 + ctx.label_bits()));
-    }
-    if (root_state_.expected_l1 == 0) {
-      compute_s2(ctx);  // degenerate isolated root
-    }
-  }
-
-  void handle(Context& ctx, const Incoming& in) {
-    switch (in.msg.type) {
-      case kFwInvite1: {
-        const Label root = in.msg.payload[0];
-        if (probe_ != nullptr) ++probe_->l1_joins;
-        obs::NodeProbe obs_probe = ctx.probe();
-        obs_probe.phase("fw.tree");
-        obs_probe.node_class("l1");
-        obs_probe.count("fw.l1_joins");
-        L1State& st = l1_states_[root];
-        st.parent = in.port;
-        schedule_tree_deactivation(ctx, /*rounds_to_completion=*/8);
-        std::vector<Label> nbrs(ctx.neighbor_labels().begin(),
-                                ctx.neighbor_labels().end());
-        ctx.send(in.port, labels_message(kFwNbrList1, root, nbrs,
-                                         ctx.label_bits()));
-        break;
-      }
-      case kFwNbrList1: {
-        const Label sender = ctx.neighbor_labels()[in.port];
-        root_state_.l1_lists[sender] = parse_labels(in.msg);
-        if (root_state_.l1_lists.size() == root_state_.expected_l1 &&
-            !root_state_.s2_done) {
-          compute_s2(ctx);
-        }
-        break;
-      }
-      case kFwS2Assign: {
-        const Label root = in.msg.payload[0];
-        L1State& st = l1_states_[root];
-        st.children = parse_labels(in.msg);
-        for (Label child : st.children) {
-          ctx.send_to_label(child,
-                            sim::make_message(kFwInvite2, {root},
-                                              16 + ctx.label_bits()));
-        }
-        break;
-      }
-      case kFwInvite2: {
-        const Label root = in.msg.payload[0];
-        if (probe_ != nullptr) ++probe_->l2_joins;
-        obs::NodeProbe obs_probe = ctx.probe();
-        obs_probe.phase("fw.tree");
-        obs_probe.node_class("l2");
-        obs_probe.count("fw.l2_joins");
-        l2_states_[root].parent = in.port;
-        schedule_tree_deactivation(ctx, /*rounds_to_completion=*/5);
-        std::vector<Label> nbrs(ctx.neighbor_labels().begin(),
-                                ctx.neighbor_labels().end());
-        ctx.send(in.port, labels_message(kFwNbrList2, root, nbrs,
-                                         ctx.label_bits()));
-        break;
-      }
-      case kFwNbrList2: {
-        const Label root = in.msg.payload[0];
-        const Label child = ctx.neighbor_labels()[in.port];
-        L1State& st = l1_states_[root];
-        st.collected[child] = parse_labels(in.msg);
-        if (!st.forwarded && st.collected.size() == st.children.size()) {
-          st.forwarded = true;
-          ctx.send(st.parent, groups_message(kFwFwdLists, root, st.collected,
-                                             ctx.label_bits()));
-        }
-        break;
-      }
-      case kFwFwdLists: {
-        for (const auto& [l2, list] : parse_groups(in.msg)) {
-          root_state_.l2_lists[l2] = list;
-        }
-        ++fwd_received_;
-        if (fwd_received_ == root_state_.expected_fwd &&
-            !root_state_.s3_done) {
-          compute_s3(ctx);
-        }
-        break;
-      }
-      case kFwS3ToL1: {
-        const Label root = in.msg.payload[0];
-        for (const auto& [l2, l3_children] : parse_groups(in.msg)) {
-          ctx.send_to_label(l2, labels_message(kFwS3ToL2, root, l3_children,
-                                               ctx.label_bits()));
-        }
-        break;
-      }
-      case kFwS3ToL2: {
-        const Label root = in.msg.payload[0];
-        for (Label l3 : parse_labels(in.msg)) {
-          ctx.send_to_label(l3,
-                            sim::make_message(kFwInvite3, {root},
-                                              16 + ctx.label_bits()));
-        }
-        break;
-      }
-      case kFwInvite3:
-      case kFwActivate: {
-        if (in.msg.type == kFwInvite3) {
-          if (probe_ != nullptr) ++probe_->l3_invites;
-          ctx.probe().count("fw.l3_invites");
-        }
-        // A sleeping node joining at level 3, or receiving <activate!>,
-        // becomes active (Sec. 3.2.1 status updates).
-        if (woke_by_message_ && status_ == Status::kUnwoken) {
-          become_active(ctx);
-        }
-        break;
-      }
-      default:
-        RISE_CHECK_MSG(false, "FastWakeup: unknown message type "
-                                  << in.msg.type);
-    }
-    // A node woken this round that only joined trees (level 1/2) ends up
-    // Joined: awake, silent, deactivating at tree completion.
-    if (woke_by_message_ && status_ == Status::kUnwoken &&
-        (!l1_states_.empty() || !l2_states_.empty())) {
-      status_ = Status::kJoined;
-    }
-  }
-
-  void schedule_tree_deactivation(Context& ctx,
-                                  std::uint64_t rounds_to_completion) {
-    deact_deadline_ = std::min(deact_deadline_,
-                               ctx.local_round() + rounds_to_completion);
-  }
-
-  void compute_s2(Context& ctx) {
-    root_state_.s2_done = true;
-    std::set<Label> known{ctx.my_label()};
-    for (const auto& lbl : ctx.neighbor_labels()) known.insert(lbl);
-    // Assign each level-2 candidate to its smallest-ID level-1 neighbor.
-    for (const auto& [l1, nbrs] : root_state_.l1_lists) {
-      for (Label w : nbrs) {
-        if (known.count(w)) continue;
-        known.insert(w);
-        root_state_.s2_assign[l1].push_back(w);
-        root_state_.l2_parent[w] = l1;
-      }
-    }
-    root_state_.expected_fwd = root_state_.s2_assign.size();
-    // Distribute S2 to all level-1 nodes (empty lists included: the paper's
-    // root "sends it to its neighbors").
-    for (const auto& [l1, nbrs] : root_state_.l1_lists) {
-      auto it = root_state_.s2_assign.find(l1);
-      const std::vector<Label> empty;
-      const std::vector<Label>& children =
-          it != root_state_.s2_assign.end() ? it->second : empty;
-      ctx.send_to_label(l1, labels_message(kFwS2Assign, ctx.my_label(),
-                                           children, ctx.label_bits()));
-    }
-    if (root_state_.expected_fwd == 0) compute_s3(ctx);
-  }
-
-  void compute_s3(Context& ctx) {
-    root_state_.s3_done = true;
-    std::set<Label> known{ctx.my_label()};
-    for (const auto& lbl : ctx.neighbor_labels()) known.insert(lbl);
-    for (const auto& [l2, parent] : root_state_.l2_parent) known.insert(l2);
-    // Per level-1 node: groups (its L2 child -> that child's L3 children).
-    std::map<Label, std::map<Label, std::vector<Label>>> per_l1;
-    for (const auto& [l2, nbrs] : root_state_.l2_lists) {
-      const Label l1 = root_state_.l2_parent.at(l2);
-      for (Label w : nbrs) {
-        if (known.count(w)) continue;
-        known.insert(w);
-        per_l1[l1][l2].push_back(w);
-      }
-    }
-    for (const auto& [l1, groups] : per_l1) {
-      ctx.send_to_label(l1, groups_message(kFwS3ToL1, ctx.my_label(), groups,
-                                           ctx.label_bits()));
-    }
-  }
-
-  void run_active_step(Context& ctx) {
-    const std::uint64_t active_round =
-        ctx.local_round() - activation_round_ + 1;
-    if (!is_root_ && active_round == 10 && !broadcasted_) {
-      broadcasted_ = true;
-      if (probe_ != nullptr) ++probe_->activate_broadcasts;
-      obs::NodeProbe obs_probe = ctx.probe();
-      obs_probe.phase("fw.activate");
-      obs_probe.count("fw.activate_broadcasts");
-      ctx.broadcast(sim::make_message(kFwActivate, {}, 8));
-      deact_deadline_ = std::min(deact_deadline_, ctx.local_round() + 1);
-    }
-  }
-
-  FastWakeupProbe* probe_;
-  double root_probability_;
-
-  Status status_ = Status::kUnwoken;
-  bool pending_activation_ = false;
-  bool woke_by_message_ = false;
-  bool is_root_ = false;
-  bool broadcasted_ = false;
-  std::uint64_t activation_round_ = 0;
-  std::uint64_t deact_deadline_ = sim::kNever;
-
-  RootState root_state_;
-  std::size_t fwd_received_ = 0;
-  std::map<Label, L1State> l1_states_;
-  std::map<Label, L2State> l2_states_;
-};
-
-/// Kernel port of FastWakeup: every mutable Process member moved into State;
-/// method bodies verbatim with `self.` access. Synchronous-engine only, like
-/// the Process.
-class FastWakeupKernel {
- public:
-  FastWakeupKernel(FastWakeupProbe* probe, double root_probability)
-      : probe_(probe), root_probability_(root_probability) {}
+/// Synchronous-engine only.
+struct FastWakeup {
+  FastWakeupProbe* probe;
+  double root_probability;
 
   enum class Status : std::uint8_t {
     kUnwoken,
@@ -433,17 +115,9 @@ class FastWakeupKernel {
     std::map<Label, L1State> l1_states;
     std::map<Label, L2State> l2_states;
   };
-  using States = std::vector<State>;
-
-  void reset(const sim::Instance& instance, sim::RunWorkspace* workspace) {
-    states_ = &sim::acquire_kernel_state(workspace, own_);
-    states_->clear();
-    states_->resize(instance.num_nodes());
-  }
 
   template <class Ctx>
-  void on_wake(Ctx& ctx, sim::WakeCause cause) {
-    State& self = (*states_)[ctx.node()];
+  void on_wake(Ctx&, State& self, sim::WakeCause cause) const {
     if (cause == sim::WakeCause::kAdversary) {
       self.pending_activation = true;
     } else {
@@ -452,13 +126,13 @@ class FastWakeupKernel {
   }
 
   template <class Ctx>
-  void on_message(Ctx&, const Incoming&) {
+  void on_message(Ctx&, State&, const Incoming&) const {
     RISE_CHECK_MSG(false, "FastWakeup requires the synchronous engine");
   }
 
   template <class Ctx>
-  void on_round(Ctx& ctx, std::span<const Incoming> inbox) {
-    State& self = (*states_)[ctx.node()];
+  void on_round(Ctx& ctx, State& self,
+                std::span<const Incoming> inbox) const {
     // Deactivation deadlines fire before anything else in a round, so a
     // node deactivated by a completing tree never executes the broadcast
     // step of the same round (Sec. 3.2.1 status updates).
@@ -484,9 +158,8 @@ class FastWakeupKernel {
     }
   }
 
- private:
   template <class Ctx>
-  void become_active(Ctx& ctx, State& self) {
+  void become_active(Ctx& ctx, State& self) const {
     if (self.status != Status::kUnwoken) return;
     self.status = Status::kActive;
     self.activation_round = ctx.local_round();
@@ -495,15 +168,15 @@ class FastWakeupKernel {
   }
 
   template <class Ctx>
-  void sample(Ctx& ctx, State& self) {
-    double p = root_probability_;
+  void sample(Ctx& ctx, State& self) const {
+    double p = root_probability;
     if (p < 0.0) {
       const double n = static_cast<double>(ctx.n_upper_bound());
       p = std::sqrt(std::log(n) / n);
     }
     if (ctx.rng().chance(p)) {
       self.is_root = true;
-      if (probe_ != nullptr) ++probe_->roots_sampled;
+      if (probe != nullptr) ++probe->roots_sampled;
       // Construction takes 9 rounds; deactivate when it completes.
       self.deact_deadline =
           std::min(self.deact_deadline, ctx.local_round() + 9);
@@ -512,7 +185,7 @@ class FastWakeupKernel {
   }
 
   template <class Ctx>
-  void start_tree(Ctx& ctx, State& self) {
+  void start_tree(Ctx& ctx, State& self) const {
     obs::NodeProbe obs_probe = ctx.probe();
     obs_probe.phase("fw.tree");
     obs_probe.node_class("root");
@@ -529,11 +202,11 @@ class FastWakeupKernel {
   }
 
   template <class Ctx>
-  void handle(Ctx& ctx, State& self, const Incoming& in) {
+  void handle(Ctx& ctx, State& self, const Incoming& in) const {
     switch (in.msg.type) {
       case kFwInvite1: {
         const Label root = in.msg.payload[0];
-        if (probe_ != nullptr) ++probe_->l1_joins;
+        if (probe != nullptr) ++probe->l1_joins;
         obs::NodeProbe obs_probe = ctx.probe();
         obs_probe.phase("fw.tree");
         obs_probe.node_class("l1");
@@ -569,7 +242,7 @@ class FastWakeupKernel {
       }
       case kFwInvite2: {
         const Label root = in.msg.payload[0];
-        if (probe_ != nullptr) ++probe_->l2_joins;
+        if (probe != nullptr) ++probe->l2_joins;
         obs::NodeProbe obs_probe = ctx.probe();
         obs_probe.phase("fw.tree");
         obs_probe.node_class("l2");
@@ -625,7 +298,7 @@ class FastWakeupKernel {
       case kFwInvite3:
       case kFwActivate: {
         if (in.msg.type == kFwInvite3) {
-          if (probe_ != nullptr) ++probe_->l3_invites;
+          if (probe != nullptr) ++probe->l3_invites;
           ctx.probe().count("fw.l3_invites");
         }
         // A sleeping node joining at level 3, or receiving <activate!>,
@@ -649,13 +322,13 @@ class FastWakeupKernel {
 
   template <class Ctx>
   void schedule_tree_deactivation(Ctx& ctx, State& self,
-                                  std::uint64_t rounds_to_completion) {
+                                  std::uint64_t rounds_to_completion) const {
     self.deact_deadline = std::min(self.deact_deadline,
                                    ctx.local_round() + rounds_to_completion);
   }
 
   template <class Ctx>
-  void compute_s2(Ctx& ctx, State& self) {
+  void compute_s2(Ctx& ctx, State& self) const {
     self.root_state.s2_done = true;
     std::set<Label> known{ctx.my_label()};
     for (const auto& lbl : ctx.neighbor_labels()) known.insert(lbl);
@@ -683,7 +356,7 @@ class FastWakeupKernel {
   }
 
   template <class Ctx>
-  void compute_s3(Ctx& ctx, State& self) {
+  void compute_s3(Ctx& ctx, State& self) const {
     self.root_state.s3_done = true;
     std::set<Label> known{ctx.my_label()};
     for (const auto& lbl : ctx.neighbor_labels()) known.insert(lbl);
@@ -707,12 +380,12 @@ class FastWakeupKernel {
   }
 
   template <class Ctx>
-  void run_active_step(Ctx& ctx, State& self) {
+  void run_active_step(Ctx& ctx, State& self) const {
     const std::uint64_t active_round =
         ctx.local_round() - self.activation_round + 1;
     if (!self.is_root && active_round == 10 && !self.broadcasted) {
       self.broadcasted = true;
-      if (probe_ != nullptr) ++probe_->activate_broadcasts;
+      if (probe != nullptr) ++probe->activate_broadcasts;
       obs::NodeProbe obs_probe = ctx.probe();
       obs_probe.phase("fw.activate");
       obs_probe.count("fw.activate_broadcasts");
@@ -722,24 +395,18 @@ class FastWakeupKernel {
     }
   }
 
-  FastWakeupProbe* probe_;
-  double root_probability_;
-  States own_;
-  States* states_ = nullptr;
 };
 
 }  // namespace
 
 sim::ProcessFactory fast_wakeup_factory(FastWakeupProbe* probe,
                                         double root_probability) {
-  return [probe, root_probability](sim::NodeId) {
-    return std::make_unique<FastWakeup>(probe, root_probability);
-  };
+  return sim::process_factory(FastWakeup{probe, root_probability});
 }
 
 sim::KernelRunner fast_wakeup_kernel(FastWakeupProbe* probe,
                                      double root_probability) {
-  return sim::make_kernel(FastWakeupKernel(probe, root_probability));
+  return sim::make_kernel(FastWakeup{probe, root_probability});
 }
 
 }  // namespace rise::algo

@@ -4,9 +4,12 @@ namespace rise::algo {
 
 namespace {
 
-class Flooding final : public sim::Process {
- public:
-  void on_wake(sim::Context& ctx, sim::WakeCause) override {
+/// Stateless: a node's only action is its wake-up broadcast.
+struct Flooding {
+  struct State {};
+
+  template <class Ctx>
+  void on_wake(Ctx& ctx, State&, sim::WakeCause) const {
     obs::NodeProbe probe = ctx.probe();
     probe.phase("flood");
     probe.count("flood.broadcasts");
@@ -14,43 +17,19 @@ class Flooding final : public sim::Process {
     ctx.broadcast(sim::make_message(kFloodWake, {}, 8));
   }
 
-  void on_message(sim::Context&, const sim::Incoming&) override {
+  template <class Ctx>
+  void on_message(Ctx&, State&, const sim::Incoming&) const {
     // Receiving a message already woke us (triggering on_wake); nothing else
     // to do.
-  }
-};
-
-/// Kernel port of Flooding. The algorithm is stateless, so the kernel is
-/// too; the hook bodies are the Process bodies verbatim.
-struct FloodingKernel {
-  void reset(const sim::Instance&, sim::RunWorkspace*) {}
-
-  template <class Ctx>
-  void on_wake(Ctx& ctx, sim::WakeCause) {
-    obs::NodeProbe probe = ctx.probe();
-    probe.phase("flood");
-    probe.count("flood.broadcasts");
-    // A single O(1)-bit wake-up signal on every port.
-    ctx.broadcast(sim::make_message(kFloodWake, {}, 8));
-  }
-
-  template <class Ctx>
-  void on_message(Ctx&, const sim::Incoming&) {}
-
-  template <class Ctx>
-  void on_round(Ctx& ctx, std::span<const sim::Incoming> inbox) {
-    for (const sim::Incoming& in : inbox) on_message(ctx, in);
   }
 };
 
 }  // namespace
 
 sim::ProcessFactory flooding_factory() {
-  return [](sim::NodeId) { return std::make_unique<Flooding>(); };
+  return sim::process_factory(Flooding{});
 }
 
-sim::KernelRunner flooding_kernel() {
-  return sim::make_kernel(FloodingKernel{});
-}
+sim::KernelRunner flooding_kernel() { return sim::make_kernel(Flooding{}); }
 
 }  // namespace rise::algo

@@ -18,8 +18,9 @@ inline constexpr std::uint32_t kFloodWake = 0x0F10;
 
 sim::ProcessFactory flooding_factory();
 
-/// Flat-kernel flooding: bit-identical to the factory (test_sim_kernels),
-/// allocation-free in steady state — the million-node fast path.
+/// The flooding handle (sim/kernel.hpp): its flat kernel is bit-identical
+/// to the factory (test_sim_kernels) and allocation-free in steady state —
+/// the million-node fast path.
 sim::KernelRunner flooding_kernel();
 
 }  // namespace rise::algo

@@ -4,16 +4,20 @@ namespace rise::algo {
 
 namespace {
 
-class PushGossip final : public sim::Process {
- public:
-  explicit PushGossip(std::uint64_t round_budget) : budget_(round_budget) {}
+struct PushGossip {
+  std::uint64_t budget;
 
-  void on_wake(sim::Context&, sim::WakeCause) override {}
+  struct State {};
 
-  void on_message(sim::Context&, const sim::Incoming&) override {}
+  template <class Ctx>
+  void on_wake(Ctx&, State&, sim::WakeCause) const {}
 
-  void on_round(sim::Context& ctx, std::span<const sim::Incoming>) override {
-    if (ctx.local_round() > budget_ || ctx.degree() == 0) return;
+  template <class Ctx>
+  void on_message(Ctx&, State&, const sim::Incoming&) const {}
+
+  template <class Ctx>
+  void on_round(Ctx& ctx, State&, std::span<const sim::Incoming>) const {
+    if (ctx.local_round() > budget || ctx.degree() == 0) return;
     obs::NodeProbe probe = ctx.probe();
     probe.phase("gossip.push");
     probe.count("gossip.pushes");
@@ -22,52 +26,16 @@ class PushGossip final : public sim::Process {
     ctx.send(p, sim::make_message(kGossipPush, {}, 8));
     ctx.request_tick();
   }
-
- private:
-  std::uint64_t budget_;
-};
-
-/// Kernel port of PushGossip: the only per-node state the Process held was
-/// the (immutable) budget, so the kernel carries just that config scalar.
-class PushGossipKernel {
- public:
-  explicit PushGossipKernel(std::uint64_t round_budget)
-      : budget_(round_budget) {}
-
-  void reset(const sim::Instance&, sim::RunWorkspace*) {}
-
-  template <class Ctx>
-  void on_wake(Ctx&, sim::WakeCause) {}
-
-  template <class Ctx>
-  void on_message(Ctx&, const sim::Incoming&) {}
-
-  template <class Ctx>
-  void on_round(Ctx& ctx, std::span<const sim::Incoming>) {
-    if (ctx.local_round() > budget_ || ctx.degree() == 0) return;
-    obs::NodeProbe probe = ctx.probe();
-    probe.phase("gossip.push");
-    probe.count("gossip.pushes");
-    const sim::Port p =
-        static_cast<sim::Port>(ctx.rng().uniform(ctx.degree()));
-    ctx.send(p, sim::make_message(kGossipPush, {}, 8));
-    ctx.request_tick();
-  }
-
- private:
-  std::uint64_t budget_;
 };
 
 }  // namespace
 
 sim::ProcessFactory push_gossip_factory(std::uint64_t round_budget) {
-  return [round_budget](sim::NodeId) {
-    return std::make_unique<PushGossip>(round_budget);
-  };
+  return sim::process_factory(PushGossip{round_budget});
 }
 
 sim::KernelRunner push_gossip_kernel(std::uint64_t round_budget) {
-  return sim::make_kernel(PushGossipKernel(round_budget));
+  return sim::make_kernel(PushGossip{round_budget});
 }
 
 }  // namespace rise::algo

@@ -13,7 +13,6 @@ namespace rise::algo {
 
 namespace {
 
-using sim::Context;
 using sim::Incoming;
 using sim::Label;
 using sim::Message;
@@ -52,180 +51,20 @@ TokenView decode_token(const Message& msg) {
   return t;
 }
 
-class RankedDfs final : public sim::Process {
- public:
-  RankedDfs(RankedDfsProbe* probe, sim::NodeId node, unsigned rank_bits,
-            bool discard_losers, bool elect)
-      : probe_(probe),
-        node_(node),
-        rank_bits_(rank_bits),
-        discard_losers_(discard_losers),
-        elect_(elect) {}
-
-  void on_wake(Context& ctx, sim::WakeCause cause) override {
-    if (cause != sim::WakeCause::kAdversary) return;
-    obs::NodeProbe obs_probe = ctx.probe();
-    obs_probe.phase("dfs.launch");
-    obs_probe.node_class("initiator");
-    obs_probe.count("dfs.tokens_launched");
-    // Draw a random rank from [n^c] (Sec. 3.1); nonzero so that the initial
-    // "no token seen" state (0, 0) loses every comparison.
-    const std::uint64_t rank_space = (std::uint64_t{1} << rank_bits_) - 1;
-    rank_ = 1 + ctx.rng().uniform(rank_space);
-    best_ = {rank_, ctx.my_label()};
-    // Launch our own DFS token.
-    std::vector<Label> visited{ctx.my_label()};
-    TokenState& state = tokens_[ctx.my_label()];
-    state.parent_port = sim::kInvalidPort;
-    advance_token(ctx, rank_, ctx.my_label(), visited, state);
-  }
-
-  void on_message(Context& ctx, const Incoming& in) override {
-    if (in.msg.type == kDfsLeader) {
-      on_leader_token(ctx, in);
-      return;
-    }
-    TokenView token = decode_token(in.msg);
-    ctx.probe().phase("dfs.token");
-    const std::pair<std::uint64_t, Label> key{token.rank, token.origin};
-    if (discard_losers_ && key < best_) {  // case (b): discard
-      ctx.probe().count("dfs.tokens_discarded");
-      return;
-    }
-    best_ = std::max(best_, key);
-
-    TokenState& state = tokens_[token.origin];
-    const Label me = ctx.my_label();
-    const bool first_visit =
-        std::find(token.visited.begin(), token.visited.end(), me) ==
-        token.visited.end();
-    if (first_visit) {
-      token.visited.push_back(me);  // case (a): append own ID
-      state.parent_port = in.port;
-      ctx.probe().count("dfs.first_visits");
-      if (probe_ != nullptr) {
-        if (forwarded_origins_.insert(token.origin).second) {
-          if (probe_->tokens_forwarded.size() <= node_) {
-            probe_->tokens_forwarded.resize(node_ + 1, 0);
-          }
-          ++probe_->tokens_forwarded[node_];
-        }
-      }
-    }
-    advance_token(ctx, token.rank, token.origin, token.visited, state);
-  }
-
- private:
-  struct TokenState {
-    Port parent_port = sim::kInvalidPort;
-  };
-
-  /// Forwards the token to the first neighbor not yet visited; backtracks to
-  /// the DFS parent when all neighbors are on the list; stops at the origin.
-  void advance_token(Context& ctx, std::uint64_t rank, Label origin,
-                     const std::vector<Label>& visited, TokenState& state) {
-    const std::unordered_set<Label> visited_set(visited.begin(),
-                                                visited.end());
-    const auto labels = ctx.neighbor_labels();
-    for (Port p = 0; p < labels.size(); ++p) {
-      if (!visited_set.count(labels[p])) {
-        ctx.send(p, encode_token(rank, origin, visited, ctx.label_bits(),
-                                 rank_bits_));
-        return;
-      }
-    }
-    if (state.parent_port != sim::kInvalidPort) {
-      ctx.send(state.parent_port,
-               encode_token(rank, origin, visited, ctx.label_bits(),
-                            rank_bits_));
-      return;
-    }
-    // We are the origin and the DFS is complete. If electing, announce
-    // ourselves as leader with a second DFS pass.
-    if (elect_ && origin == ctx.my_label() && !announced_) {
-      announced_ = true;
-      obs::NodeProbe obs_probe = ctx.probe();
-      obs_probe.phase("dfs.announce");
-      obs_probe.node_class("leader");
-      obs_probe.count("dfs.leaders_announced");
-      ctx.set_output(ctx.my_label());
-      std::vector<Label> seen{ctx.my_label()};
-      leader_state_.parent_port = sim::kInvalidPort;
-      advance_leader(ctx, ctx.my_label(), seen);
-    }
-  }
-
-  /// The announce pass: same visited-list DFS mechanics, never discarded.
-  void on_leader_token(Context& ctx, const Incoming& in) {
-    ctx.probe().phase("dfs.announce");
-    RISE_CHECK(in.msg.payload.size() >= 2);
-    const Label leader = in.msg.payload[0];
-    const std::uint64_t count = in.msg.payload[1];
-    RISE_CHECK(in.msg.payload.size() == 2 + count);
-    std::vector<Label> visited(in.msg.payload.begin() + 2,
-                               in.msg.payload.end());
-    const Label me = ctx.my_label();
-    if (std::find(visited.begin(), visited.end(), me) == visited.end()) {
-      ctx.set_output(leader);
-      visited.push_back(me);
-      leader_state_.parent_port = in.port;
-    }
-    advance_leader(ctx, leader, visited);
-  }
-
-  void advance_leader(Context& ctx, Label leader,
-                      const std::vector<Label>& visited) {
-    const std::unordered_set<Label> visited_set(visited.begin(),
-                                                visited.end());
-    const auto labels = ctx.neighbor_labels();
-    auto encode = [&] {
-      sim::PayloadWords payload{leader, visited.size()};
-      payload.append(visited.begin(), visited.end());
-      return sim::make_message(
-          kDfsLeader, std::move(payload),
-          ctx.label_bits() * (2 + visited.size()) + 32);
-    };
-    for (Port p = 0; p < labels.size(); ++p) {
-      if (!visited_set.count(labels[p])) {
-        ctx.send(p, encode());
-        return;
-      }
-    }
-    if (leader_state_.parent_port != sim::kInvalidPort) {
-      ctx.send(leader_state_.parent_port, encode());
-    }
-  }
-
-  RankedDfsProbe* probe_;
-  sim::NodeId node_;
-  unsigned rank_bits_;
-  bool discard_losers_;
-  bool elect_;
-  bool announced_ = false;
-  TokenState leader_state_;
-  std::uint64_t rank_ = 0;
-  std::pair<std::uint64_t, Label> best_{0, 0};
-  std::map<Label, TokenState> tokens_;
-  std::set<Label> forwarded_origins_;
-};
-
-/// Kernel port of RankedDfs: the Process's mutable members become one State
-/// per node in a flat vector; hook bodies are otherwise verbatim (same RNG
-/// draws, same encodings), so the two paths are bit-identical.
-class RankedDfsKernel {
- public:
-  RankedDfsKernel(RankedDfsProbe* probe, unsigned rank_bits,
-                  bool discard_losers, bool elect)
-      : probe_(probe),
-        rank_bits_(rank_bits),
-        discard_losers_(discard_losers),
-        elect_(elect) {}
+/// One algorithm type for all three factories: `discard_losers` off is the
+/// ablation, `elect` on adds the leader-announce pass.
+struct RankedDfs {
+  RankedDfsProbe* probe;
+  unsigned rank_bits;
+  bool discard_losers;
+  bool elect;
 
   struct TokenState {
     Port parent_port = sim::kInvalidPort;
   };
 
   struct State {
+    sim::NodeId node = sim::kInvalidNode;  ///< engine id, for `probe` only
     bool announced = false;
     TokenState leader_state;
     std::uint64_t rank = 0;
@@ -233,25 +72,23 @@ class RankedDfsKernel {
     std::map<Label, TokenState> tokens;
     std::set<Label> forwarded_origins;
   };
-  using States = std::vector<State>;
 
-  void reset(const sim::Instance& instance, sim::RunWorkspace* workspace) {
-    states_ = &sim::acquire_kernel_state(workspace, own_);
-    states_->clear();
-    states_->resize(instance.num_nodes());
+  State make_state(sim::NodeId node) const {
+    State self;
+    self.node = node;
+    return self;
   }
 
   template <class Ctx>
-  void on_wake(Ctx& ctx, sim::WakeCause cause) {
+  void on_wake(Ctx& ctx, State& self, sim::WakeCause cause) const {
     if (cause != sim::WakeCause::kAdversary) return;
-    State& self = (*states_)[ctx.node()];
     obs::NodeProbe obs_probe = ctx.probe();
     obs_probe.phase("dfs.launch");
     obs_probe.node_class("initiator");
     obs_probe.count("dfs.tokens_launched");
     // Draw a random rank from [n^c] (Sec. 3.1); nonzero so that the initial
     // "no token seen" state (0, 0) loses every comparison.
-    const std::uint64_t rank_space = (std::uint64_t{1} << rank_bits_) - 1;
+    const std::uint64_t rank_space = (std::uint64_t{1} << rank_bits) - 1;
     self.rank = 1 + ctx.rng().uniform(rank_space);
     self.best = {self.rank, ctx.my_label()};
     // Launch our own DFS token.
@@ -262,8 +99,7 @@ class RankedDfsKernel {
   }
 
   template <class Ctx>
-  void on_message(Ctx& ctx, const Incoming& in) {
-    State& self = (*states_)[ctx.node()];
+  void on_message(Ctx& ctx, State& self, const Incoming& in) const {
     if (in.msg.type == kDfsLeader) {
       on_leader_token(ctx, self, in);
       return;
@@ -271,7 +107,7 @@ class RankedDfsKernel {
     TokenView token = decode_token(in.msg);
     ctx.probe().phase("dfs.token");
     const std::pair<std::uint64_t, Label> key{token.rank, token.origin};
-    if (discard_losers_ && key < self.best) {  // case (b): discard
+    if (discard_losers && key < self.best) {  // case (b): discard
       ctx.probe().count("dfs.tokens_discarded");
       return;
     }
@@ -286,48 +122,43 @@ class RankedDfsKernel {
       token.visited.push_back(me);  // case (a): append own ID
       state.parent_port = in.port;
       ctx.probe().count("dfs.first_visits");
-      if (probe_ != nullptr) {
+      if (probe != nullptr) {
         if (self.forwarded_origins.insert(token.origin).second) {
-          if (probe_->tokens_forwarded.size() <= ctx.node()) {
-            probe_->tokens_forwarded.resize(ctx.node() + 1, 0);
+          if (probe->tokens_forwarded.size() <= self.node) {
+            probe->tokens_forwarded.resize(self.node + 1, 0);
           }
-          ++probe_->tokens_forwarded[ctx.node()];
+          ++probe->tokens_forwarded[self.node];
         }
       }
     }
     advance_token(ctx, self, token.rank, token.origin, token.visited, state);
   }
 
-  template <class Ctx>
-  void on_round(Ctx& ctx, std::span<const Incoming> inbox) {
-    for (const Incoming& in : inbox) on_message(ctx, in);
-  }
-
- private:
   /// Forwards the token to the first neighbor not yet visited; backtracks to
   /// the DFS parent when all neighbors are on the list; stops at the origin.
   template <class Ctx>
   void advance_token(Ctx& ctx, State& self, std::uint64_t rank, Label origin,
-                     const std::vector<Label>& visited, TokenState& state) {
+                     const std::vector<Label>& visited,
+                     TokenState& state) const {
     const std::unordered_set<Label> visited_set(visited.begin(),
                                                 visited.end());
     const auto labels = ctx.neighbor_labels();
     for (Port p = 0; p < labels.size(); ++p) {
       if (!visited_set.count(labels[p])) {
         ctx.send(p, encode_token(rank, origin, visited, ctx.label_bits(),
-                                 rank_bits_));
+                                 rank_bits));
         return;
       }
     }
     if (state.parent_port != sim::kInvalidPort) {
       ctx.send(state.parent_port,
                encode_token(rank, origin, visited, ctx.label_bits(),
-                            rank_bits_));
+                            rank_bits));
       return;
     }
     // We are the origin and the DFS is complete. If electing, announce
     // ourselves as leader with a second DFS pass.
-    if (elect_ && origin == ctx.my_label() && !self.announced) {
+    if (elect && origin == ctx.my_label() && !self.announced) {
       self.announced = true;
       obs::NodeProbe obs_probe = ctx.probe();
       obs_probe.phase("dfs.announce");
@@ -342,7 +173,7 @@ class RankedDfsKernel {
 
   /// The announce pass: same visited-list DFS mechanics, never discarded.
   template <class Ctx>
-  void on_leader_token(Ctx& ctx, State& self, const Incoming& in) {
+  void on_leader_token(Ctx& ctx, State& self, const Incoming& in) const {
     ctx.probe().phase("dfs.announce");
     RISE_CHECK(in.msg.payload.size() >= 2);
     const Label leader = in.msg.payload[0];
@@ -361,7 +192,7 @@ class RankedDfsKernel {
 
   template <class Ctx>
   void advance_leader(Ctx& ctx, State& self, Label leader,
-                      const std::vector<Label>& visited) {
+                      const std::vector<Label>& visited) const {
     const std::unordered_set<Label> visited_set(visited.begin(),
                                                 visited.end());
     const auto labels = ctx.neighbor_labels();
@@ -382,69 +213,50 @@ class RankedDfsKernel {
       ctx.send(self.leader_state.parent_port, encode());
     }
   }
-
-  RankedDfsProbe* probe_;
-  unsigned rank_bits_;
-  bool discard_losers_;
-  bool elect_;
-  States own_;
-  States* states_ = nullptr;
 };
+
+RankedDfs configure(RankedDfsProbe* probe, unsigned rank_bits,
+                    bool discard_losers, bool elect) {
+  RISE_CHECK(rank_bits >= 8 && rank_bits <= 62);
+  return {probe, rank_bits, discard_losers, elect};
+}
 
 }  // namespace
 
 sim::ProcessFactory ranked_dfs_factory(RankedDfsProbe* probe,
                                        unsigned rank_bits) {
-  RISE_CHECK(rank_bits >= 8 && rank_bits <= 62);
-  return [probe, rank_bits](sim::NodeId node) {
-    return std::make_unique<RankedDfs>(probe, node, rank_bits,
-                                       /*discard_losers=*/true,
-                                       /*elect=*/false);
-  };
+  return sim::process_factory(
+      configure(probe, rank_bits, /*discard_losers=*/true, /*elect=*/false));
 }
 
 sim::ProcessFactory ranked_dfs_leader_factory(RankedDfsProbe* probe,
                                               unsigned rank_bits) {
-  RISE_CHECK(rank_bits >= 8 && rank_bits <= 62);
-  return [probe, rank_bits](sim::NodeId node) {
-    return std::make_unique<RankedDfs>(probe, node, rank_bits,
-                                       /*discard_losers=*/true,
-                                       /*elect=*/true);
-  };
+  return sim::process_factory(
+      configure(probe, rank_bits, /*discard_losers=*/true, /*elect=*/true));
 }
 
 sim::ProcessFactory ranked_dfs_no_discard_factory(RankedDfsProbe* probe,
                                                   unsigned rank_bits) {
-  RISE_CHECK(rank_bits >= 8 && rank_bits <= 62);
-  return [probe, rank_bits](sim::NodeId node) {
-    return std::make_unique<RankedDfs>(probe, node, rank_bits,
-                                       /*discard_losers=*/false,
-                                       /*elect=*/false);
-  };
+  return sim::process_factory(
+      configure(probe, rank_bits, /*discard_losers=*/false, /*elect=*/false));
 }
 
 sim::KernelRunner ranked_dfs_kernel(RankedDfsProbe* probe,
                                     unsigned rank_bits) {
-  RISE_CHECK(rank_bits >= 8 && rank_bits <= 62);
-  return sim::make_kernel(RankedDfsKernel(probe, rank_bits,
-                                          /*discard_losers=*/true,
-                                          /*elect=*/false));
+  return sim::make_kernel(
+      configure(probe, rank_bits, /*discard_losers=*/true, /*elect=*/false));
 }
 
 sim::KernelRunner ranked_dfs_leader_kernel(RankedDfsProbe* probe,
                                            unsigned rank_bits) {
-  RISE_CHECK(rank_bits >= 8 && rank_bits <= 62);
-  return sim::make_kernel(RankedDfsKernel(probe, rank_bits,
-                                          /*discard_losers=*/true,
-                                          /*elect=*/true));
+  return sim::make_kernel(
+      configure(probe, rank_bits, /*discard_losers=*/true, /*elect=*/true));
 }
 
 sim::KernelRunner ranked_dfs_no_discard_kernel(RankedDfsProbe* probe,
                                                unsigned rank_bits) {
-  RISE_CHECK(rank_bits >= 8 && rank_bits <= 62);
-  return sim::make_kernel(RankedDfsKernel(probe, rank_bits,
-                                          /*discard_losers=*/false,
-                                          /*elect=*/false));
+  return sim::make_kernel(
+      configure(probe, rank_bits, /*discard_losers=*/false, /*elect=*/false));
 }
 
 }  // namespace rise::algo

@@ -58,8 +58,9 @@ sim::ProcessFactory ranked_dfs_leader_factory(RankedDfsProbe* probe = nullptr,
 sim::ProcessFactory ranked_dfs_no_discard_factory(
     RankedDfsProbe* probe = nullptr, unsigned rank_bits = 48);
 
-/// Flat-kernel counterparts of the three factories above — bit-identical
-/// runs (test_sim_kernels) with per-node state in one contiguous vector.
+/// Family handles (sim/kernel.hpp) of the three factories above — the flat
+/// kernel runs bit-identically (test_sim_kernels) with per-node state in
+/// one contiguous vector.
 sim::KernelRunner ranked_dfs_kernel(RankedDfsProbe* probe = nullptr,
                                     unsigned rank_bits = 48);
 sim::KernelRunner ranked_dfs_leader_kernel(RankedDfsProbe* probe = nullptr,

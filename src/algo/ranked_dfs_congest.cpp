@@ -10,7 +10,6 @@ namespace rise::algo {
 
 namespace {
 
-using sim::Context;
 using sim::Incoming;
 using sim::Label;
 using sim::Message;
@@ -22,98 +21,8 @@ Message token_message(std::uint32_t type, std::uint64_t rank, Label origin,
                            8 + rank_bits + label_bits);
 }
 
-class RankedDfsCongest final : public sim::Process {
- public:
-  explicit RankedDfsCongest(unsigned rank_bits) : rank_bits_(rank_bits) {}
-
-  void on_wake(Context& ctx, sim::WakeCause cause) override {
-    // Ranks come from [n^c] (c = 4 here), so they occupy O(log n) bits and
-    // the token message fits the CONGEST budget.
-    rank_bits_ = std::min(rank_bits_, 4 * ctx.label_bits());
-    if (cause != sim::WakeCause::kAdversary) return;
-    obs::NodeProbe probe = ctx.probe();
-    probe.phase("dfs.launch");
-    probe.node_class("initiator");
-    probe.count("dfs.tokens_launched");
-    const std::uint64_t rank_space = (std::uint64_t{1} << rank_bits_) - 1;
-    rank_ = 1 + ctx.rng().uniform(rank_space);
-    best_ = {rank_, ctx.my_label()};
-    TokenState& state = tokens_[ctx.my_label()];
-    state.visited = true;
-    try_next(ctx, rank_, ctx.my_label(), state);
-  }
-
-  void on_message(Context& ctx, const Incoming& in) override {
-    const std::uint64_t rank = in.msg.payload[0];
-    const Label origin = in.msg.payload[1];
-    const std::pair<std::uint64_t, Label> key{rank, origin};
-    ctx.probe().phase("dfs.token");
-    if (key < best_) {  // discard losing tokens, as in the LOCAL version
-      ctx.probe().count("dfs.tokens_discarded");
-      return;
-    }
-    best_ = key;
-    TokenState& state = tokens_[origin];
-    switch (in.msg.type) {
-      case kCFwd:
-        if (state.visited) {
-          ctx.send(in.port, token_message(kCNack, rank, origin,
-                                          ctx.label_bits(), rank_bits_));
-        } else {
-          state.visited = true;
-          state.parent_port = in.port;
-          try_next(ctx, rank, origin, state);
-        }
-        break;
-      case kCNack:
-      case kCRet:
-        try_next(ctx, rank, origin, state);
-        break;
-      default:
-        RISE_CHECK_MSG(false, "ranked_dfs_congest: unexpected message type "
-                                  << in.msg.type);
-    }
-  }
-
- private:
-  struct TokenState {
-    bool visited = false;
-    Port parent_port = sim::kInvalidPort;
-    Port next_port = 0;
-  };
-
-  /// Offers the token to the next untried port (skipping the DFS parent);
-  /// returns it to the parent when exhausted.
-  void try_next(Context& ctx, std::uint64_t rank, Label origin,
-                TokenState& state) {
-    while (state.next_port < ctx.degree()) {
-      const Port p = state.next_port++;
-      if (p == state.parent_port) continue;
-      ctx.send(p, token_message(kCFwd, rank, origin, ctx.label_bits(),
-                                rank_bits_));
-      return;
-    }
-    if (state.parent_port != sim::kInvalidPort) {
-      ctx.send(state.parent_port,
-               token_message(kCRet, rank, origin, ctx.label_bits(),
-                             rank_bits_));
-    }
-    // Otherwise we are the origin: the DFS is complete.
-  }
-
-  unsigned rank_bits_;
-  std::uint64_t rank_ = 0;
-  std::pair<std::uint64_t, Label> best_{0, 0};
-  std::map<Label, TokenState> tokens_;
-};
-
-/// Kernel port of RankedDfsCongest. The Process clamped its rank_bits_
-/// member on first wake; here the clamped width lives in per-node state
-/// (on_wake always precedes on_message, so it is set before any use).
-class RankedDfsCongestKernel {
- public:
-  explicit RankedDfsCongestKernel(unsigned rank_bits)
-      : rank_bits_(rank_bits) {}
+struct RankedDfsCongest {
+  unsigned max_rank_bits;
 
   struct TokenState {
     bool visited = false;
@@ -122,25 +31,17 @@ class RankedDfsCongestKernel {
   };
 
   struct State {
-    unsigned rank_bits = 0;
+    unsigned rank_bits = 0;  ///< clamped on wake, before any message
     std::uint64_t rank = 0;
     std::pair<std::uint64_t, Label> best{0, 0};
     std::map<Label, TokenState> tokens;
   };
-  using States = std::vector<State>;
-
-  void reset(const sim::Instance& instance, sim::RunWorkspace* workspace) {
-    states_ = &sim::acquire_kernel_state(workspace, own_);
-    states_->clear();
-    states_->resize(instance.num_nodes());
-  }
 
   template <class Ctx>
-  void on_wake(Ctx& ctx, sim::WakeCause cause) {
-    State& self = (*states_)[ctx.node()];
+  void on_wake(Ctx& ctx, State& self, sim::WakeCause cause) const {
     // Ranks come from [n^c] (c = 4 here), so they occupy O(log n) bits and
     // the token message fits the CONGEST budget.
-    self.rank_bits = std::min(rank_bits_, 4 * ctx.label_bits());
+    self.rank_bits = std::min(max_rank_bits, 4 * ctx.label_bits());
     if (cause != sim::WakeCause::kAdversary) return;
     obs::NodeProbe probe = ctx.probe();
     probe.phase("dfs.launch");
@@ -156,8 +57,7 @@ class RankedDfsCongestKernel {
   }
 
   template <class Ctx>
-  void on_message(Ctx& ctx, const Incoming& in) {
-    State& self = (*states_)[ctx.node()];
+  void on_message(Ctx& ctx, State& self, const Incoming& in) const {
     const std::uint64_t rank = in.msg.payload[0];
     const Label origin = in.msg.payload[1];
     const std::pair<std::uint64_t, Label> key{rank, origin};
@@ -189,17 +89,11 @@ class RankedDfsCongestKernel {
     }
   }
 
-  template <class Ctx>
-  void on_round(Ctx& ctx, std::span<const Incoming> inbox) {
-    for (const Incoming& in : inbox) on_message(ctx, in);
-  }
-
- private:
   /// Offers the token to the next untried port (skipping the DFS parent);
   /// returns it to the parent when exhausted.
   template <class Ctx>
   void try_next(Ctx& ctx, State& self, std::uint64_t rank, Label origin,
-                TokenState& state) {
+                TokenState& state) const {
     while (state.next_port < ctx.degree()) {
       const Port p = state.next_port++;
       if (p == state.parent_port) continue;
@@ -214,24 +108,18 @@ class RankedDfsCongestKernel {
     }
     // Otherwise we are the origin: the DFS is complete.
   }
-
-  unsigned rank_bits_;
-  States own_;
-  States* states_ = nullptr;
 };
 
 }  // namespace
 
 sim::ProcessFactory ranked_dfs_congest_factory(unsigned rank_bits) {
   RISE_CHECK(rank_bits >= 8 && rank_bits <= 62);
-  return [rank_bits](sim::NodeId) {
-    return std::make_unique<RankedDfsCongest>(rank_bits);
-  };
+  return sim::process_factory(RankedDfsCongest{rank_bits});
 }
 
 sim::KernelRunner ranked_dfs_congest_kernel(unsigned rank_bits) {
   RISE_CHECK(rank_bits >= 8 && rank_bits <= 62);
-  return sim::make_kernel(RankedDfsCongestKernel(rank_bits));
+  return sim::make_kernel(RankedDfsCongest{rank_bits});
 }
 
 }  // namespace rise::algo

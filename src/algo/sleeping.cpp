@@ -1,6 +1,5 @@
 #include "algo/sleeping.hpp"
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -148,49 +147,22 @@ void mis_on_round(MisState& self, Ctx& ctx,
   ctx.request_tick();
 }
 
-class SleepingMis final : public sim::Process {
- public:
-  void on_wake(sim::Context&, sim::WakeCause) override {}
-
-  void on_message(sim::Context&, const sim::Incoming&) override {
-    RISE_CHECK_MSG(false, "sleeping MIS requires the synchronous engine");
-  }
-
-  void on_round(sim::Context& ctx,
-                std::span<const sim::Incoming> inbox) override {
-    mis_on_round(self_, ctx, inbox);
-  }
-
- private:
-  MisState self_;
-};
-
-class SleepingMisKernel {
- public:
-  using States = std::vector<MisState>;
-
-  void reset(const sim::Instance& instance, sim::RunWorkspace* workspace) {
-    states_ = &sim::acquire_kernel_state(workspace, own_);
-    states_->clear();
-    states_->resize(instance.num_nodes());
-  }
+struct SleepingMis {
+  using State = MisState;
 
   template <class Ctx>
-  void on_wake(Ctx&, sim::WakeCause) {}
+  void on_wake(Ctx&, State&, sim::WakeCause) const {}
 
   template <class Ctx>
-  void on_message(Ctx&, const Incoming&) {
+  void on_message(Ctx&, State&, const Incoming&) const {
     RISE_CHECK_MSG(false, "sleeping MIS requires the synchronous engine");
   }
 
   template <class Ctx>
-  void on_round(Ctx& ctx, std::span<const Incoming> inbox) {
-    mis_on_round((*states_)[ctx.node()], ctx, inbox);
+  void on_round(Ctx& ctx, State& self,
+                std::span<const Incoming> inbox) const {
+    mis_on_round(self, ctx, inbox);
   }
-
- private:
-  States* states_ = nullptr;
-  States own_;
 };
 
 // ---------------------------------------------------------------------------
@@ -336,67 +308,40 @@ void match_on_round(MatchState& self, Ctx& ctx,
   ctx.request_tick();
 }
 
-class SleepingMatching final : public sim::Process {
- public:
-  void on_wake(sim::Context&, sim::WakeCause) override {}
-
-  void on_message(sim::Context&, const sim::Incoming&) override {
-    RISE_CHECK_MSG(false, "sleeping matching requires the synchronous engine");
-  }
-
-  void on_round(sim::Context& ctx,
-                std::span<const sim::Incoming> inbox) override {
-    match_on_round(self_, ctx, inbox);
-  }
-
- private:
-  MatchState self_;
-};
-
-class SleepingMatchingKernel {
- public:
-  using States = std::vector<MatchState>;
-
-  void reset(const sim::Instance& instance, sim::RunWorkspace* workspace) {
-    states_ = &sim::acquire_kernel_state(workspace, own_);
-    states_->clear();
-    states_->resize(instance.num_nodes());
-  }
+struct SleepingMatching {
+  using State = MatchState;
 
   template <class Ctx>
-  void on_wake(Ctx&, sim::WakeCause) {}
+  void on_wake(Ctx&, State&, sim::WakeCause) const {}
 
   template <class Ctx>
-  void on_message(Ctx&, const Incoming&) {
+  void on_message(Ctx&, State&, const Incoming&) const {
     RISE_CHECK_MSG(false, "sleeping matching requires the synchronous engine");
   }
 
   template <class Ctx>
-  void on_round(Ctx& ctx, std::span<const Incoming> inbox) {
-    match_on_round((*states_)[ctx.node()], ctx, inbox);
+  void on_round(Ctx& ctx, State& self,
+                std::span<const Incoming> inbox) const {
+    match_on_round(self, ctx, inbox);
   }
-
- private:
-  States* states_ = nullptr;
-  States own_;
 };
 
 }  // namespace
 
 sim::ProcessFactory sleeping_mis_factory() {
-  return [](sim::NodeId) { return std::make_unique<SleepingMis>(); };
+  return sim::process_factory(SleepingMis{});
 }
 
 sim::KernelRunner sleeping_mis_kernel() {
-  return sim::make_kernel(SleepingMisKernel());
+  return sim::make_kernel(SleepingMis{});
 }
 
 sim::ProcessFactory sleeping_matching_factory() {
-  return [](sim::NodeId) { return std::make_unique<SleepingMatching>(); };
+  return sim::process_factory(SleepingMatching{});
 }
 
 sim::KernelRunner sleeping_matching_kernel() {
-  return sim::make_kernel(SleepingMatchingKernel());
+  return sim::make_kernel(SleepingMatching{});
 }
 
 }  // namespace rise::algo

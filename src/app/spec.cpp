@@ -266,7 +266,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     expect_fields(f, 1, spec);
     setup.knowledge = sim::Knowledge::KT0;
     setup.bandwidth = sim::Bandwidth::CONGEST;
-    setup.factory = algo::flooding_factory();
     setup.kernel = algo::flooding_kernel();
     return setup;
   }
@@ -274,9 +273,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     expect_fields(f, 1, spec);
     setup.knowledge = sim::Knowledge::KT1;
     setup.bandwidth = sim::Bandwidth::LOCAL;
-    setup.factory = kind == "ranked_dfs"
-                        ? algo::ranked_dfs_factory()
-                        : algo::ranked_dfs_no_discard_factory();
     setup.kernel = kind == "ranked_dfs" ? algo::ranked_dfs_kernel()
                                         : algo::ranked_dfs_no_discard_kernel();
     return setup;
@@ -285,7 +281,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     expect_fields(f, 1, spec);
     setup.knowledge = sim::Knowledge::KT1;
     setup.bandwidth = sim::Bandwidth::CONGEST;
-    setup.factory = algo::ranked_dfs_congest_factory();
     setup.kernel = algo::ranked_dfs_congest_kernel();
     return setup;
   }
@@ -293,7 +288,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     expect_fields(f, 1, spec);
     setup.knowledge = sim::Knowledge::KT1;
     setup.bandwidth = sim::Bandwidth::LOCAL;
-    setup.factory = algo::ranked_dfs_leader_factory();
     setup.kernel = algo::ranked_dfs_leader_kernel();
     return setup;
   }
@@ -302,7 +296,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     setup.knowledge = sim::Knowledge::KT1;
     setup.bandwidth = sim::Bandwidth::LOCAL;
     setup.synchronous = true;
-    setup.factory = algo::fast_wakeup_factory();
     setup.kernel = algo::fast_wakeup_kernel();
     return setup;
   }
@@ -312,7 +305,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     setup.bandwidth = sim::Bandwidth::CONGEST;
     setup.synchronous = true;
     const std::uint64_t budget = to_u64(f[1], "round budget");
-    setup.factory = algo::push_gossip_factory(budget);
     setup.kernel = algo::push_gossip_kernel(budget);
     return setup;
   }
@@ -322,7 +314,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     setup.bandwidth = sim::Bandwidth::CONGEST;
     setup.synchronous = true;
     setup.sleeping = true;
-    setup.factory = algo::sleeping_mis_factory();
     setup.kernel = algo::sleeping_mis_kernel();
     return setup;
   }
@@ -332,7 +323,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     setup.bandwidth = sim::Bandwidth::CONGEST;
     setup.synchronous = true;
     setup.sleeping = true;
-    setup.factory = algo::sleeping_matching_factory();
     setup.kernel = algo::sleeping_matching_kernel();
     return setup;
   }
@@ -340,7 +330,7 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     expect_fields(f, 2, spec);
     setup.knowledge = sim::Knowledge::KT0;
     setup.bandwidth = sim::Bandwidth::CONGEST;
-    setup.factory = lb::ttl_flood_factory(
+    setup.kernel = lb::ttl_flood_kernel(
         static_cast<std::uint32_t>(to_u64(f[1], "ttl")));
     return setup;
   }
@@ -349,7 +339,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     setup.knowledge = sim::Knowledge::KT0;
     setup.bandwidth = sim::Bandwidth::CONGEST;
     setup.oracle = advice::fip06_oracle();
-    setup.factory = advice::fip06_factory();
     setup.kernel = advice::fip06_kernel();
     return setup;
   }
@@ -358,7 +347,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     setup.knowledge = sim::Knowledge::KT0;
     setup.bandwidth = sim::Bandwidth::CONGEST;
     setup.oracle = advice::sqrt_threshold_oracle();
-    setup.factory = advice::sqrt_threshold_factory();
     setup.kernel = advice::sqrt_threshold_kernel();
     return setup;
   }
@@ -367,7 +355,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     setup.knowledge = sim::Knowledge::KT0;
     setup.bandwidth = sim::Bandwidth::CONGEST;
     setup.oracle = advice::child_encoding_oracle(0, kind == "cen" ? 2 : 1);
-    setup.factory = advice::child_encoding_factory();
     setup.kernel = advice::child_encoding_kernel();
     return setup;
   }
@@ -377,7 +364,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     setup.bandwidth = sim::Bandwidth::CONGEST;
     setup.oracle =
         advice::spanner_oracle(static_cast<unsigned>(to_u64(f[1], "k")));
-    setup.factory = advice::spanner_factory();
     setup.kernel = advice::spanner_kernel();
     return setup;
   }
@@ -387,8 +373,7 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     setup.knowledge = sim::Knowledge::KT0;
     setup.bandwidth = sim::Bandwidth::CONGEST;
     setup.oracle = std::move(scheme.oracle);
-    setup.factory = std::move(scheme.algorithm);
-    setup.kernel = std::move(scheme.kernel);
+    setup.kernel = std::move(scheme.algorithm);
     return setup;
   }
   if (kind == "beta") {
@@ -397,7 +382,7 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     setup.knowledge = sim::Knowledge::KT0;
     setup.bandwidth = sim::Bandwidth::CONGEST;
     setup.oracle = lb::beta_probing_oracle(beta);
-    setup.factory = lb::beta_probing_factory(beta);
+    setup.kernel = lb::beta_probing_kernel(beta);
     return setup;
   }
   RISE_CHECK_MSG(false, "unknown algorithm '" << kind
@@ -436,7 +421,6 @@ PreparedExperiment prepare_experiment(const ExperimentSpec& spec,
   prep.algorithm = algorithm.name;
   prep.synchronous = algorithm.synchronous;
   prep.sleeping = algorithm.sleeping;
-  prep.factory = std::move(algorithm.factory);
   prep.kernel = std::move(algorithm.kernel);
 
   sim::InstanceOptions options;
@@ -489,11 +473,12 @@ ExperimentReport execute_prepared(const PreparedExperiment& prepared,
     report.rho_awk = sim::schedule_awake_distance(g, schedule);
   }
 
-  // The flat-kernel path is the default whenever the family ships one; it
-  // is bit-identical to the Process path (test_sim_kernels), so choosing it
-  // here never changes a result — only the per-trial allocation profile.
-  const bool use_kernel = static_cast<bool>(prepared.kernel) &&
-                          !instruments.use_virtual_processes;
+  // The flat kernel is the default; the generated Process path runs the
+  // same definition and is bit-identical (test_sim_kernels), so the choice
+  // never changes a result — only the per-trial allocation profile.
+  RISE_CHECK_MSG(static_cast<bool>(prepared.kernel),
+                 "prepared experiment has no algorithm handle");
+  const bool use_processes = instruments.use_virtual_processes;
   const bool synchronous =
       prepared.synchronous || instruments.force_sync_engine;
   if (synchronous) {
@@ -501,43 +486,38 @@ ExperimentReport execute_prepared(const PreparedExperiment& prepared,
     if (instruments.on_setup) {
       instruments.on_setup(instance, schedule, nullptr, true);
     }
-    sim::SyncRunLimits limits;
-    limits.sleeping_model = prepared.sleeping;
+    sim::SyncKernelArgs args;
+    args.instance = &instance;
+    args.schedule = &schedule;
+    args.seed = spec.seed;
+    args.limits.sleeping_model = prepared.sleeping;
+    args.trace = instruments.trace;
+    args.probe = probe;
+    args.workspace = workspace;
     // Round-parallel stepping (bit-identical for any job count). With no
     // executor wired in, a process-wide serial executor still routes the
     // run through the chunked code path — that is what differential tests
     // and the fuzzer exercise without spawning threads.
-    sim::SyncParallel parallel;
     if (instruments.trial_jobs > 1) {
       static sim::SerialChunkExecutor serial_executor;
-      parallel.jobs = instruments.trial_jobs;
-      parallel.executor = instruments.trial_executor != nullptr
-                              ? instruments.trial_executor
-                              : &serial_executor;
+      args.parallel.jobs = instruments.trial_jobs;
+      args.parallel.executor = instruments.trial_executor != nullptr
+                                   ? instruments.trial_executor
+                                   : &serial_executor;
     }
-    if (use_kernel) {
-      sim::SyncKernelArgs args;
-      args.instance = &instance;
-      args.schedule = &schedule;
-      args.seed = spec.seed;
-      args.limits = limits;
-      args.trace = instruments.trace;
-      args.probe = probe;
-      args.workspace = workspace;
-      args.parallel = parallel;
-      obs::PhaseTimer timer(probe, "engine.run");
-      report.result = prepared.kernel.run_sync(args);
-      timer.set_sim_span(report.result.metrics.rounds);
-    } else {
+    obs::PhaseTimer timer(probe, "engine.run");
+    if (use_processes) {
       sim::SyncEngine engine(instance, schedule, spec.seed);
-      engine.set_trace(instruments.trace);
+      engine.set_trace(args.trace);
       engine.set_probe(probe);
       engine.set_workspace(workspace);
-      engine.set_parallel(parallel);
-      obs::PhaseTimer timer(probe, "engine.run");
-      report.result = engine.run(prepared.factory, limits);
-      timer.set_sim_span(report.result.metrics.rounds);
+      engine.set_parallel(args.parallel);
+      report.result =
+          engine.run(prepared.kernel.process_factory(), args.limits);
+    } else {
+      report.result = prepared.kernel.run_sync(args);
     }
+    timer.set_sim_span(report.result.metrics.rounds);
   } else {
     std::unique_ptr<sim::DelayPolicy> parsed;
     const sim::DelayPolicy* delays = instruments.delay_override;
@@ -548,7 +528,15 @@ ExperimentReport execute_prepared(const PreparedExperiment& prepared,
     if (instruments.on_setup) {
       instruments.on_setup(instance, schedule, delays, false);
     }
-    if (use_kernel) {
+    obs::PhaseTimer timer(probe, "engine.run");
+    if (use_processes) {
+      sim::AsyncEngine engine(instance, *delays, schedule, spec.seed);
+      engine.set_trace(instruments.trace);
+      engine.set_probe(probe);
+      engine.set_event_queue_mode(instruments.queue_mode);
+      engine.set_workspace(workspace);
+      report.result = engine.run(prepared.kernel.process_factory());
+    } else {
       sim::AsyncKernelArgs args;
       args.instance = &instance;
       args.delays = delays;
@@ -558,21 +546,10 @@ ExperimentReport execute_prepared(const PreparedExperiment& prepared,
       args.probe = probe;
       args.queue_mode = instruments.queue_mode;
       args.workspace = workspace;
-      obs::PhaseTimer timer(probe, "engine.run");
       report.result = prepared.kernel.run_async(args);
-      timer.set_sim_span(std::max(report.result.metrics.last_delivery,
-                                  report.result.metrics.last_wake));
-    } else {
-      sim::AsyncEngine engine(instance, *delays, schedule, spec.seed);
-      engine.set_trace(instruments.trace);
-      engine.set_probe(probe);
-      engine.set_event_queue_mode(instruments.queue_mode);
-      engine.set_workspace(workspace);
-      obs::PhaseTimer timer(probe, "engine.run");
-      report.result = engine.run(prepared.factory);
-      timer.set_sim_span(std::max(report.result.metrics.last_delivery,
-                                  report.result.metrics.last_wake));
     }
+    timer.set_sim_span(std::max(report.result.metrics.last_delivery,
+                                report.result.metrics.last_wake));
   }
   return report;
 }

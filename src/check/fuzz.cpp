@@ -24,6 +24,7 @@ struct TrialOutcome {
   bool ran_sync_differential = false;
   bool ran_determinism_replay = false;
   bool ran_parallel_differential = false;
+  bool ran_dispatch_differential = false;
 };
 
 void fail(TrialOutcome& out, std::string kind,
@@ -62,6 +63,21 @@ TrialOutcome run_trial(const Scenario& s, FaultKind fault,
     return out;  // the scenario cannot run at all; no differentials
   }
   if (!base.violations.empty()) fail(out, "violation", base.violations);
+
+  // The production run took the flat kernel; the family's generated Process
+  // path runs the same definition and must be bit-identical to it.
+  out.ran_dispatch_differential = true;
+  RunVariant processes = base_variant;
+  processes.virtual_processes = true;
+  const CheckedRun via_processes = run_checked(s, processes);
+  if (!via_processes.error.empty()) {
+    fail(out, "dispatch-divergence",
+         {"Process-path replay errored: " + via_processes.error});
+  } else if (via_processes.digest != base.digest) {
+    fail(out, "dispatch-divergence",
+         {"flat kernel and generated Process disagree: kernel " +
+          hex(base.digest) + " vs Process " + hex(via_processes.digest)});
+  }
 
   if (base.report.synchronous) {
     // No event queue to vary: replay the identical configuration and demand
@@ -199,6 +215,7 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
     report.sync_differentials += out.ran_sync_differential ? 1 : 0;
     report.determinism_replays += out.ran_determinism_replay ? 1 : 0;
     report.parallel_differentials += out.ran_parallel_differential ? 1 : 0;
+    report.dispatch_differentials += out.ran_dispatch_differential ? 1 : 0;
     if (!out.failed) continue;
     ++report.failing_trials;
     if (report.failures.size() >= options.max_failures) continue;
@@ -266,7 +283,8 @@ std::string format_fuzz(const FuzzReport& report) {
      << " bucket-vs-heap, " << report.sync_differentials
      << " async-vs-lock-step, " << report.determinism_replays
      << " determinism replay(s), " << report.parallel_differentials
-     << " round-parallel replay(s)\n";
+     << " round-parallel replay(s), " << report.dispatch_differentials
+     << " kernel-vs-Process replay(s)\n";
   if (report.corpus_entries > 0) {
     os << "  corpus: " << report.corpus_entries << " entr"
        << (report.corpus_entries == 1 ? "y" : "ies") << " replayed, "

@@ -8,6 +8,9 @@
 //   - asynchronous scenarios: the same scenario pinned to the bucket-ring
 //     and to the binary-heap event queue — all three digests must match
 //     bit-for-bit;
+//   - every scenario: a replay through the family's generated Process path
+//     (one heap Process per node) that must digest-match the production
+//     run's flat kernel — both are generated from one algorithm definition;
 //   - synchronous scenarios: a second identical run (determinism), plus a
 //     replay through the engine's round-parallel chunked path
 //     (trial_jobs > 1, serial executor) that must digest-match;
@@ -59,7 +62,8 @@ struct FuzzFailure {
   std::uint32_t shrunk_nodes = 0;  ///< node count of the shrunk scenario
   std::string kind;  ///< "violation" | "error" | "queue-divergence" |
                      ///< "sync-divergence" | "nondeterminism" |
-                     ///< "parallel-divergence" | "corpus-divergence"
+                     ///< "parallel-divergence" | "dispatch-divergence" |
+                     ///< "corpus-divergence"
   std::vector<std::string> details;
   std::string repro;  ///< repro_command(shrunk)
 };
@@ -71,6 +75,7 @@ struct FuzzReport {
   std::uint64_t sync_differentials = 0;   ///< async-vs-lock-step comparisons
   std::uint64_t determinism_replays = 0;  ///< sync same-config replays
   std::uint64_t parallel_differentials = 0;  ///< sequential-vs-chunked replays
+  std::uint64_t dispatch_differentials = 0;  ///< kernel-vs-Process replays
   std::uint64_t corpus_entries = 0;       ///< regression entries replayed
   std::uint64_t corpus_failures = 0;      ///< entries unclean or digest-drifted
   std::size_t jobs = 1;                   ///< resolved worker count

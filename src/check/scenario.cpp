@@ -275,6 +275,7 @@ CheckedRun run_checked(const Scenario& s, const RunVariant& variant) {
   instruments.queue_mode = variant.queue_mode;
   instruments.force_sync_engine = variant.force_sync_engine;
   instruments.trial_jobs = variant.trial_jobs;
+  instruments.use_virtual_processes = variant.virtual_processes;
 
   sim::Time declared_tau = 1;  // overwritten below for async runs
   if (variant.fault == FaultKind::kLateDelivery && !variant.force_sync_engine) {

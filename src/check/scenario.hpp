@@ -10,8 +10,8 @@
 // run_checked() replays a scenario through the instrumented
 // app::run_experiment with an InvariantChecker riding the trace, and digests
 // the full RunResult so differential replays (bucket vs heap event queue,
-// async-unit-delay vs the lock-step engine, 1 vs N runner threads) can be
-// compared bit-for-bit.
+// async-unit-delay vs the lock-step engine, flat kernel vs generated
+// Process, 1 vs N runner threads) can be compared bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -70,6 +70,9 @@ struct RunVariant {
   /// engine's parallel code path (serial executor — deterministic and
   /// threadless). Must digest-match trial_jobs == 1; ignored by async runs.
   std::uint32_t trial_jobs = 1;
+  /// Run the family's generated Process per node instead of its flat
+  /// kernel (RunInstruments::use_virtual_processes). Must digest-match.
+  bool virtual_processes = false;
 };
 
 struct CheckedRun {

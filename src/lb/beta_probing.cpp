@@ -45,18 +45,22 @@ class BetaProbingOracle final : public advice::AdvisingOracle {
   unsigned beta_;
 };
 
-class BetaProbingProcess final : public sim::Process {
- public:
-  explicit BetaProbingProcess(unsigned beta) : beta_(beta) {}
+struct BetaProbing {
+  unsigned beta;
 
-  void on_wake(sim::Context& ctx, sim::WakeCause cause) override {
+  struct State {
+    bool replied = false;
+  };
+
+  template <class Ctx>
+  void on_wake(Ctx& ctx, State&, sim::WakeCause cause) const {
     if (cause != sim::WakeCause::kAdversary || ctx.advice().empty()) {
       return;  // only the (awake-at-start) centers act spontaneously
     }
     BitReader r(ctx.advice());
     const bool broadcaster = r.read_bit();
     const unsigned width = std::max(1u, bit_width_for(ctx.degree()));
-    const unsigned b = effective_beta(beta_, ctx.degree());
+    const unsigned b = effective_beta(beta, ctx.degree());
     std::uint64_t prefix = 0;
     for (unsigned j = 0; j < b; ++j) {
       prefix = (prefix << 1) | static_cast<std::uint64_t>(r.read_bit());
@@ -73,11 +77,12 @@ class BetaProbingProcess final : public sim::Process {
     }
   }
 
-  void on_message(sim::Context& ctx, const sim::Incoming& in) override {
+  template <class Ctx>
+  void on_message(Ctx& ctx, State& self, const sim::Incoming& in) const {
     switch (in.msg.type) {
       case kProbe:
-        if (ctx.degree() == 1 && !replied_) {
-          replied_ = true;
+        if (ctx.degree() == 1 && !self.replied) {
+          self.replied = true;
           ctx.send(in.port, sim::make_message(kIAmLeaf, {}, 8));
         }
         break;
@@ -91,10 +96,6 @@ class BetaProbingProcess final : public sim::Process {
                                   << in.msg.type);
     }
   }
-
- private:
-  unsigned beta_;
-  bool replied_ = false;
 };
 
 }  // namespace
@@ -104,13 +105,15 @@ std::unique_ptr<advice::AdvisingOracle> beta_probing_oracle(unsigned beta) {
 }
 
 sim::ProcessFactory beta_probing_factory(unsigned beta) {
-  return [beta](sim::NodeId) {
-    return std::make_unique<BetaProbingProcess>(beta);
-  };
+  return sim::process_factory(BetaProbing{beta});
+}
+
+sim::KernelRunner beta_probing_kernel(unsigned beta) {
+  return sim::make_kernel(BetaProbing{beta});
 }
 
 advice::AdvisingScheme beta_probing_scheme(unsigned beta) {
-  return {beta_probing_oracle(beta), beta_probing_factory(beta), {}};
+  return {beta_probing_oracle(beta), beta_probing_kernel(beta)};
 }
 
 }  // namespace rise::lb

@@ -4,34 +4,36 @@ namespace rise::lb {
 
 namespace {
 
-class TtlFlood final : public sim::Process {
- public:
-  explicit TtlFlood(std::uint32_t ttl) : ttl_(ttl) {}
+struct TtlFlood {
+  std::uint32_t ttl;
 
-  void on_wake(sim::Context& ctx, sim::WakeCause cause) override {
-    if (cause == sim::WakeCause::kAdversary && ttl_ > 0) {
-      send_all(ctx, ttl_, sim::kInvalidPort);
+  struct State {
+    bool done = false;
+  };
+
+  template <class Ctx>
+  void on_wake(Ctx& ctx, State&, sim::WakeCause cause) const {
+    if (cause == sim::WakeCause::kAdversary && ttl > 0) {
+      send_all(ctx, ttl, sim::kInvalidPort);
     }
   }
 
-  void on_message(sim::Context& ctx, const sim::Incoming& in) override {
-    const auto ttl = static_cast<std::uint32_t>(in.msg.payload[0]);
-    if (done_ || ttl <= 1) return;
-    done_ = true;
-    send_all(ctx, ttl - 1, in.port);
+  template <class Ctx>
+  void on_message(Ctx& ctx, State& self, const sim::Incoming& in) const {
+    const auto hops = static_cast<std::uint32_t>(in.msg.payload[0]);
+    if (self.done || hops <= 1) return;
+    self.done = true;
+    send_all(ctx, hops - 1, in.port);
   }
 
- private:
-  void send_all(sim::Context& ctx, std::uint32_t ttl, sim::Port skip) {
+  template <class Ctx>
+  static void send_all(Ctx& ctx, std::uint32_t hops, sim::Port skip) {
     const sim::Message msg =
-        sim::make_message(kTimedWake, {ttl}, 8 + ctx.label_bits());
+        sim::make_message(kTimedWake, {hops}, 8 + ctx.label_bits());
     for (sim::Port p = 0; p < ctx.degree(); ++p) {
       if (p != skip) ctx.send(p, msg);
     }
   }
-
-  std::uint32_t ttl_;
-  bool done_ = false;
 };
 
 }  // namespace
@@ -39,7 +41,11 @@ class TtlFlood final : public sim::Process {
 sim::ProcessFactory centers_broadcast_factory() { return ttl_flood_factory(1); }
 
 sim::ProcessFactory ttl_flood_factory(std::uint32_t ttl) {
-  return [ttl](sim::NodeId) { return std::make_unique<TtlFlood>(ttl); };
+  return sim::process_factory(TtlFlood{ttl});
+}
+
+sim::KernelRunner ttl_flood_kernel(std::uint32_t ttl) {
+  return sim::make_kernel(TtlFlood{ttl});
 }
 
 }  // namespace rise::lb

@@ -10,6 +10,7 @@
 // hop-count TTL), interpolating between broadcast and full flooding.
 #pragma once
 
+#include "sim/kernel.hpp"
 #include "sim/process.hpp"
 
 namespace rise::lb {
@@ -23,5 +24,6 @@ sim::ProcessFactory centers_broadcast_factory();
 /// Flooding with a TTL: adversary-woken nodes send TTL = ttl; receivers
 /// rebroadcast with TTL-1 while positive. ttl = 1 equals centers_broadcast.
 sim::ProcessFactory ttl_flood_factory(std::uint32_t ttl);
+sim::KernelRunner ttl_flood_kernel(std::uint32_t ttl);
 
 }  // namespace rise::lb

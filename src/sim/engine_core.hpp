@@ -41,8 +41,8 @@ class EngineCore {
              obs::Probe* probe = nullptr, RunWorkspace* workspace = nullptr);
 
   /// Kernel-mode core: identical bookkeeping but no per-node Process objects
-  /// are created (a kernel holds node state in flat vectors instead; see
-  /// sim/kernel.hpp). process() must not be called on a core built this way.
+  /// are created (the flat handler holds node state in one vector instead;
+  /// see sim/kernel.hpp). process() must not be called on a core built this way.
   /// The workspace's recycled `processes` vector is left untouched so later
   /// Process-path runs still reuse it.
   EngineCore(const Instance& instance, Time tau, std::uint64_t seed,

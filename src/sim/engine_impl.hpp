@@ -1,12 +1,16 @@
 // The engines' event loops, templated over the per-node dispatch strategy.
 //
-// Both engines run the same loops for two programming models:
+// Both engines run the same loops for two dispatch strategies:
 //
 //   * the virtual `Process` path (one heap object per node, ProcessFactory)
-//     — kept for the fuzzer, tests and third-party algorithms; and
-//   * the flat SoA kernel path (sim/kernel.hpp) — per-family node state in
-//     parallel vectors, with on_wake/on_message/on_round resolved at compile
-//     time instead of through two pointer chases per event.
+//     — used by sim::AsyncEngine / SyncEngine callers, the NIH wrapper, and
+//     RunInstruments::use_virtual_processes; and
+//   * the flat kernel path (sim/kernel.hpp) — per-family node state in one
+//     vector, with on_wake/on_message/on_round resolved at compile time
+//     instead of through two pointer chases per event.
+//
+// Every built-in family is one algorithm definition from which
+// sim/kernel.hpp generates both: a Process per node, and a FlatHandler.
 //
 // AsyncRunner/SyncRunner here hold the loop code exactly once, templated on
 // a Handler with
@@ -16,11 +20,11 @@
 //   handler.on_round(ctx, inbox)
 //
 // ProcessHandler forwards each hook to the node's virtual Process, which
-// reproduces the historical engines verbatim; a Kernel *is* its own handler,
-// so its template hooks inline into the loop with the final context types
-// below, devirtualizing every ctx call the algorithm makes. Both paths run
-// the identical accounting/trace/queue code, which is why they are
-// bit-identical (pinned by test_sim_kernels).
+// reproduces the historical engines verbatim; FlatHandler's template hooks
+// inline into the loop with the final context types below, devirtualizing
+// every ctx call the algorithm makes. Both paths run the identical
+// accounting/trace/queue code and the same hook bodies, which is why they
+// are bit-identical (pinned by test_sim_kernels).
 #pragma once
 
 #include <algorithm>

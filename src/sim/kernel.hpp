@@ -1,41 +1,57 @@
-// Flat struct-of-arrays algorithm kernels — the allocation-free execution
-// path for million-node runs.
+// One definition per algorithm family, two execution paths.
 //
-// The Process path allocates one heap object per node and dispatches every
-// hook through a vtable; at n = 10^6 that is a million allocations per trial
-// and a random pointer chase per event. A *kernel* is the same algorithm
-// with its per-node members hoisted into parallel vectors:
+// Every family is written once, as an *algorithm type*: its data members
+// are the family's immutable configuration, `State` is the per-node mutable
+// state, and the hooks are const templates over the context type:
 //
-//   struct FloodingKernel {
-//     struct State { bool done = false; };          // was: Process members
-//     void reset(const Instance&, RunWorkspace*);   // size state for n nodes
-//     template <class Ctx> void on_wake(Ctx&, WakeCause);
-//     template <class Ctx> void on_message(Ctx&, const Incoming&);
-//     template <class Ctx> void on_round(Ctx&, std::span<const Incoming>);
+//   struct Flooding {
+//     struct State {};                    // per-node state (may be empty)
+//     template <class Ctx> void on_wake(Ctx&, State&, WakeCause) const;
+//     template <class Ctx> void on_message(Ctx&, State&, const Incoming&) const;
+//     // Optional; the default feeds each inbox message to on_message.
+//     template <class Ctx>
+//     void on_round(Ctx&, State&, std::span<const Incoming>) const;
+//     // Optional; for a State that must know its engine node id.
+//     State make_state(NodeId) const;
 //   };
 //
-// A kernel is its own engine Handler (sim/engine_impl.hpp): the hooks are
-// templates over the engine's final context type, so every ctx.send /
-// ctx.rng / state access inlines into the event loop — no vtable on either
-// side of the hot path. Hook bodies are mechanical ports of the Process
-// versions (member access becomes state(ctx) access), which makes the two
-// paths bit-identical: same RNG draws, same message encodings, same probe
-// marks. test_sim_kernels pins that equivalence digest-by-digest.
+// Hooks use only the sim::Context surface, so one body compiles against
+// both contexts the engines provide. From that single definition this
+// header generates both paths:
 //
-// KernelRunner type-erases a kernel behind two std::functions so app-layer
-// code (PreparedExperiment, rise_cli) can carry "how to run this family
-// fast" without knowing the concrete type. The prototype kernel captured in
-// make_kernel is copied once per run: a PreparedExperiment is shared across
-// campaign worker threads, so the shared prototype is never mutated — all
-// mutable state lives in the per-run copy and the per-thread workspace.
+//   * make_kernel(A) — the flat path. One generic engine Handler owns the
+//     per-node states as a std::vector<State> held in the workspace's
+//     type-tagged slot (an empty State gets no vector at all), and the
+//     hooks are instantiated on the engine's final context types, so every
+//     ctx call inlines into the event loop — no vtable on either side of
+//     the hot path and no per-node allocation.
+//   * process_factory(A) — the virtual Process path: one heap Process per
+//     node holding one State, with the hooks instantiated on sim::Context.
+//     It serves sim::AsyncEngine / sim::SyncEngine users, the NIH wrapper,
+//     and RunInstruments::use_virtual_processes.
+//
+// Both paths therefore run the same code with the same RNG draws, message
+// encodings and probe marks; test_sim_kernels and the fuzzer's
+// dispatch-divergence differential pin them digest-for-digest.
+//
+// KernelRunner is the type-erased handle of one configured family: two
+// std::functions run it flat under either engine, and process_factory()
+// yields the same family as Processes. The algorithm object is shared
+// (immutable) by every run and every process made from the handle, so one
+// handle may serve concurrent campaign workers; all mutable state lives in
+// the per-run handler and the per-thread workspace.
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <string>
+#include <span>
+#include <type_traits>
+#include <typeinfo>
 #include <utility>
+#include <vector>
 
 #include "sim/engine_impl.hpp"
+#include "sim/process.hpp"
 #include "sim/workspace.hpp"
 
 namespace rise::sim {
@@ -67,17 +83,18 @@ struct SyncKernelArgs {
   SyncParallel parallel;
 };
 
-/// Type-erased kernel: runs one family under either engine. Default-built
-/// instances are empty (operator bool is false) — callers fall back to the
-/// Process path.
+/// Type-erased handle of one configured algorithm family. Default-built
+/// handles are empty (operator bool is false).
 class KernelRunner {
  public:
   using AsyncFn = std::function<RunResult(const AsyncKernelArgs&)>;
   using SyncFn = std::function<RunResult(const SyncKernelArgs&)>;
 
   KernelRunner() = default;
-  KernelRunner(AsyncFn run_async, SyncFn run_sync)
-      : async_(std::move(run_async)), sync_(std::move(run_sync)) {}
+  KernelRunner(AsyncFn run_async, SyncFn run_sync, ProcessFactory factory)
+      : async_(std::move(run_async)),
+        sync_(std::move(run_sync)),
+        factory_(std::move(factory)) {}
 
   explicit operator bool() const { return static_cast<bool>(async_); }
 
@@ -86,49 +103,158 @@ class KernelRunner {
   }
   RunResult run_sync(const SyncKernelArgs& args) const { return sync_(args); }
 
+  /// The same family as one heap Process per node, for sim::AsyncEngine /
+  /// sim::SyncEngine; bit-identical to run_async / run_sync.
+  const ProcessFactory& process_factory() const { return factory_; }
+
  private:
   AsyncFn async_;
   SyncFn sync_;
+  ProcessFactory factory_;
 };
 
-/// Binds a kernel's state vector to the workspace's type-tagged slot so
-/// consecutive runs of the same family reuse capacity; without a workspace
-/// the kernel's own member storage is used. Call from K::reset.
-template <class State>
-State& acquire_kernel_state(RunWorkspace* workspace, State& fallback) {
-  if (workspace == nullptr) return fallback;
-  if (workspace->kernel_state_type != &typeid(State)) {
-    workspace->kernel_state = std::make_shared<State>();
-    workspace->kernel_state_type = &typeid(State);
+namespace internal {
+
+template <class A>
+typename A::State make_state(const A& algo, NodeId u) {
+  if constexpr (requires { algo.make_state(u); }) {
+    return algo.make_state(u);
+  } else {
+    return typename A::State{};
   }
-  return *static_cast<State*>(workspace->kernel_state.get());
 }
 
-/// Wraps a configured kernel prototype as a KernelRunner. The prototype is
-/// copied for every run (kernels are cheap to copy: config scalars plus
-/// empty-or-recycled vectors), keeping the shared prototype immutable under
-/// concurrent campaign workers.
-template <class K>
-KernelRunner make_kernel(K prototype) {
-  auto async_fn = [prototype](const AsyncKernelArgs& a) -> RunResult {
+template <class A, class Ctx>
+void dispatch_round(const A& algo, Ctx& ctx, typename A::State& self,
+                    std::span<const Incoming> inbox) {
+  if constexpr (requires { algo.on_round(ctx, self, inbox); }) {
+    algo.on_round(ctx, self, inbox);
+  } else {
+    for (const Incoming& in : inbox) algo.on_message(ctx, self, in);
+  }
+}
+
+/// The generated flat engine Handler (sim/engine_impl.hpp): node state in
+/// one vector indexed by engine node id, borrowed from the workspace's
+/// type-tagged slot so back-to-back runs of a family reuse its capacity.
+template <class A>
+class FlatHandler {
+ public:
+  using State = typename A::State;
+  using States = std::vector<State>;
+
+  FlatHandler(const A& algo, const Instance& instance, RunWorkspace* workspace)
+      : algo_(algo) {
+    if constexpr (!std::is_empty_v<State>) {
+      states_ = &own_;
+      if (workspace != nullptr) {
+        if (workspace->kernel_state_type != &typeid(States)) {
+          workspace->kernel_state = std::make_shared<States>();
+          workspace->kernel_state_type = &typeid(States);
+        }
+        states_ = static_cast<States*>(workspace->kernel_state.get());
+      }
+      const NodeId n = instance.num_nodes();
+      states_->clear();
+      if constexpr (requires { algo.make_state(n); }) {
+        states_->reserve(n);
+        for (NodeId u = 0; u < n; ++u) states_->push_back(algo.make_state(u));
+      } else {
+        states_->resize(n);
+      }
+    }
+  }
+
+  template <class Ctx>
+  void on_wake(Ctx& ctx, WakeCause cause) {
+    algo_.on_wake(ctx, state(ctx.node()), cause);
+  }
+  template <class Ctx>
+  void on_message(Ctx& ctx, const Incoming& in) {
+    algo_.on_message(ctx, state(ctx.node()), in);
+  }
+  template <class Ctx>
+  void on_round(Ctx& ctx, std::span<const Incoming> inbox) {
+    dispatch_round(algo_, ctx, state(ctx.node()), inbox);
+  }
+
+ private:
+  State& state(NodeId u) {
+    if constexpr (std::is_empty_v<State>) {
+      return empty_;
+    } else {
+      return (*states_)[u];
+    }
+  }
+
+  const A& algo_;
+  States* states_ = nullptr;
+  States own_;
+  [[no_unique_address]] State empty_{};
+};
+
+/// The generated Process: one State, hooks instantiated on sim::Context.
+template <class A>
+class AlgorithmProcess final : public Process {
+ public:
+  AlgorithmProcess(std::shared_ptr<const A> algo, NodeId u)
+      : algo_(std::move(algo)), self_(make_state(*algo_, u)) {}
+
+  void on_wake(Context& ctx, WakeCause cause) override {
+    algo_->on_wake(ctx, self_, cause);
+  }
+  void on_message(Context& ctx, const Incoming& in) override {
+    algo_->on_message(ctx, self_, in);
+  }
+  void on_round(Context& ctx, std::span<const Incoming> inbox) override {
+    dispatch_round(*algo_, ctx, self_, inbox);
+  }
+
+ private:
+  std::shared_ptr<const A> algo_;
+  [[no_unique_address]] typename A::State self_;
+};
+
+template <class A>
+ProcessFactory process_factory(std::shared_ptr<const A> algo) {
+  return [algo = std::move(algo)](NodeId u) -> std::unique_ptr<Process> {
+    return std::make_unique<AlgorithmProcess<A>>(algo, u);
+  };
+}
+
+}  // namespace internal
+
+/// The family as a ProcessFactory: one heap Process per node.
+template <class A>
+ProcessFactory process_factory(A algorithm) {
+  return internal::process_factory(
+      std::make_shared<const A>(std::move(algorithm)));
+}
+
+/// The family as a KernelRunner: both flat engine paths plus the
+/// equivalent ProcessFactory, all sharing one immutable algorithm object.
+template <class A>
+KernelRunner make_kernel(A algorithm) {
+  auto algo = std::make_shared<const A>(std::move(algorithm));
+  auto async_fn = [algo](const AsyncKernelArgs& a) -> RunResult {
     EngineCore core(*a.instance, a.delays->max_delay(), a.seed, a.trace,
                     a.probe, a.workspace);
-    K kernel = prototype;
-    kernel.reset(*a.instance, a.workspace);
-    internal::AsyncRunner<K> runner(kernel, core, *a.delays, *a.schedule,
-                                    a.limits, a.queue_mode, a.workspace);
+    internal::FlatHandler<A> handler(*algo, *a.instance, a.workspace);
+    internal::AsyncRunner<internal::FlatHandler<A>> runner(
+        handler, core, *a.delays, *a.schedule, a.limits, a.queue_mode,
+        a.workspace);
     return runner.run();
   };
-  auto sync_fn = [prototype](const SyncKernelArgs& a) -> RunResult {
+  auto sync_fn = [algo](const SyncKernelArgs& a) -> RunResult {
     EngineCore core(*a.instance, /*tau=*/1, a.seed, a.trace, a.probe,
                     a.workspace);
-    K kernel = prototype;
-    kernel.reset(*a.instance, a.workspace);
-    internal::SyncRunner<K> runner(kernel, core, *a.schedule, a.limits,
-                                   a.workspace, a.parallel);
+    internal::FlatHandler<A> handler(*algo, *a.instance, a.workspace);
+    internal::SyncRunner<internal::FlatHandler<A>> runner(
+        handler, core, *a.schedule, a.limits, a.workspace, a.parallel);
     return runner.run();
   };
-  return KernelRunner(std::move(async_fn), std::move(sync_fn));
+  return KernelRunner(std::move(async_fn), std::move(sync_fn),
+                      internal::process_factory(algo));
 }
 
 }  // namespace rise::sim

@@ -112,8 +112,8 @@ struct RunWorkspace {
   std::vector<SyncChunkOutbox> sync_outboxes;       // parallel rounds only
 
   // Kernel-path storage (sim/kernel.hpp): one type-tagged slot holding the
-  // current algorithm family's flat node-state vectors, so back-to-back
-  // kernel runs of the same family reuse their capacity. Switching families
+  // current algorithm family's flat node-state vector, so back-to-back
+  // kernel runs of the same family reuse its capacity. Switching families
   // replaces the slot (campaigns run one family per campaign, so this never
   // thrashes in practice).
   std::shared_ptr<void> kernel_state;

@@ -54,7 +54,8 @@ TEST_P(AdviceMatrix, WakesEveryoneUnderEveryAdversary) {
     const auto schedule = sim::wake_random_subset(90, 0.25, srng);
     const auto delays = make_delay(seed * 31);
     const auto result =
-        sim::run_async(inst, *delays, schedule, seed, scheme.algorithm);
+        sim::run_async(inst, *delays, schedule, seed,
+                       scheme.algorithm.process_factory());
     EXPECT_TRUE(result.all_awake())
         << GetParam().scheme << "/" << GetParam().delay << " seed " << seed;
   }
@@ -77,10 +78,12 @@ TEST_P(AdviceMatrix, MessageCountIndependentOfDelays) {
   const auto schedule = sim::wake_set({0, 35, 69});
   const auto unit = sim::unit_delay();
   const auto baseline =
-      sim::run_async(inst, *unit, schedule, 1, scheme.algorithm);
+      sim::run_async(inst, *unit, schedule, 1,
+                     scheme.algorithm.process_factory());
   const auto delays = make_delay(99);
   const auto delayed =
-      sim::run_async(inst, *delays, schedule, 1, scheme.algorithm);
+      sim::run_async(inst, *delays, schedule, 1,
+                     scheme.algorithm.process_factory());
   EXPECT_EQ(delayed.metrics.messages, baseline.metrics.messages)
       << GetParam().scheme << "/" << GetParam().delay;
 }

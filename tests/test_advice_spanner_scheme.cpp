@@ -118,7 +118,8 @@ TEST(Corollary2, PolylogAdviceAndNearLinearMessages) {
   const double logn = std::log2(static_cast<double>(n));
   EXPECT_LE(static_cast<double>(stats.max_bits), 30.0 * logn * logn);
   const auto result =
-      test::run_async_unit(inst, sim::wake_all(n), scheme.algorithm);
+      test::run_async_unit(inst, sim::wake_all(n),
+                                               scheme.algorithm.process_factory());
   ASSERT_TRUE(result.all_awake());
   EXPECT_LE(static_cast<double>(result.metrics.messages),
             20.0 * n * logn);

@@ -146,6 +146,9 @@ TEST(RunFuzz, CleanCampaignAcrossAllFamilies) {
   EXPECT_TRUE(report.ok()) << format_fuzz(report);
   EXPECT_EQ(report.trials, 40u);
   EXPECT_GT(report.queue_differentials, 0u);
+  // The kernel-vs-generated-Process differential is always on.
+  EXPECT_EQ(report.dispatch_differentials, 40u);
+  EXPECT_NE(format_fuzz(report).find("kernel-vs-Process"), std::string::npos);
 }
 
 TEST(RunFuzz, ParallelCampaignIsBitIdenticalToSerial) {
@@ -160,7 +163,7 @@ TEST(RunFuzz, ParallelCampaignIsBitIdenticalToSerial) {
   EXPECT_EQ(report.jobs, 4u);
 }
 
-// The round-parallel differential (PR 10): 50 sampled scenarios, every
+// The round-parallel differential: 50 sampled scenarios, every
 // synchronous trial replayed with trial_jobs = 3 on the serial chunk
 // executor (threadless, so this stays deterministic), all digests equal to
 // the sequential run. The sync-capable families guarantee the differential

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "advice/child_encoding.hpp"
 #include "graph/algorithms.hpp"
@@ -93,7 +94,11 @@ TEST_P(SizeSweep, FastWakeupRespectsRoundAndMessageEnvelope) {
 INSTANTIATE_TEST_SUITE_P(Sizes, SizeSweep,
                          ::testing::Values(64, 128, 256, 512),
                          [](const ::testing::TestParamInfo<graph::NodeId>& i) {
-                           return "n" + std::to_string(i.param);
+                           // Appending (rather than "n" + to_string) avoids
+                           // a GCC 12 -Wrestrict false positive at -O2.
+                           std::string name = "n";
+                           name += std::to_string(i.param);
+                           return name;
                          });
 
 class BetaSweep : public ::testing::TestWithParam<unsigned> {};

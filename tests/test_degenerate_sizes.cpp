@@ -177,7 +177,8 @@ TEST(Degenerate, AdviceSchemesOnTinyGraphs) {
           test::make_instance(g, Knowledge::KT0, sim::Bandwidth::CONGEST);
       advice::apply_oracle(inst, *scheme.oracle);
       const auto result =
-          test::run_async_unit(inst, sim::wake_single(0), scheme.algorithm);
+          test::run_async_unit(inst, sim::wake_single(0),
+                                                      scheme.algorithm.process_factory());
       EXPECT_TRUE(result.all_awake()) << name << "/" << sname;
     }
   }

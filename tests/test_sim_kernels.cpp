@@ -1,23 +1,25 @@
-// Kernel-vs-Process differential suite (PR 7).
+// Kernel-vs-Process differential suite.
 //
-// Every algorithm family that ships a flat kernel (sim/kernel.hpp) must be
-// *bit-identical* to its virtual-Process twin: same RNG draws, same message
-// encodings, same trace, same metrics. These tests pin that equivalence by
-// running each family through app::execute_prepared twice — once on the
-// kernel path (the default) and once with RunInstruments::
-// use_virtual_processes — and comparing full-run digests: the complete CSV
-// trace plus wake times, outputs, and every metrics counter.
+// Every algorithm family is defined once (sim/kernel.hpp) and run through
+// two generated paths — the flat kernel and one virtual Process per node —
+// which must be *bit-identical*: same RNG draws, same message encodings,
+// same trace, same metrics. These tests pin that equivalence by running
+// each family through app::execute_prepared twice — once on the kernel
+// path (the default) and once with RunInstruments::use_virtual_processes —
+// and comparing full-run digests: the complete CSV trace plus wake times,
+// outputs, and every metrics counter.
 //
 // Coverage axes: every algorithm family (including the sleeping-model
 // smis/smatching pair, whose digests fold in per-node awake rounds and
-// sleep-dropped counts) and all four advice schemes,
+// sleep-dropped counts, and the lower-bound ttl/beta algorithms) and all
+// four advice schemes,
 // both engines (native plus force_sync_engine for the asynchronous ones),
 // both event-queue backends, and dirty-workspace reuse — a single
 // RunWorkspace threaded through interleaved kernel/process runs of
 // *different* families, which exercises the typeid-tagged kernel-state slot
 // and the recycled Process vector side by side.
 // A second differential rides the same digest machinery: round-parallel
-// stepping (RunInstruments::trial_jobs, PR 10) must be bit-identical to the
+// stepping (RunInstruments::trial_jobs) must be bit-identical to the
 // sequential lock-step path for every job count, every sync family, both
 // the serial chunk executor and a real thread pool, and dirty workspaces.
 #include <gtest/gtest.h>
@@ -89,7 +91,9 @@ std::string run_digest(const app::ExperimentSpec& spec,
 app::ExperimentSpec make_spec(const std::string& algorithm,
                               std::uint64_t seed) {
   app::ExperimentSpec spec;
-  spec.graph = "cgnp:48:0.12";
+  // Beta probing's oracle needs the Theorem-1 lower-bound family's shape.
+  spec.graph =
+      algorithm.rfind("beta:", 0) == 0 ? "kt0family:16" : "cgnp:48:0.12";
   spec.schedule = "staggered:3:2";
   spec.delay = "random:4";  // ignored by synchronous algorithms
   spec.algorithm = algorithm;
@@ -99,11 +103,10 @@ app::ExperimentSpec make_spec(const std::string& algorithm,
 
 const std::vector<std::string> kAsyncFamilies = {
     "flooding",   "ranked_dfs", "ranked_dfs_nodiscard",
-    "ranked_dfs_congest", "leader"};
+    "ranked_dfs_congest", "leader", "ttl:4"};
 
-const std::vector<std::string> kAdviceSchemes = {"fip06", "sqrt", "cen",
-                                                 "cen_chain", "spanner:2",
-                                                 "cor2"};
+const std::vector<std::string> kAdviceSchemes = {
+    "fip06", "sqrt", "cen", "cen_chain", "spanner:2", "cor2", "beta:2"};
 
 const std::vector<std::string> kSyncFamilies = {"fast_wakeup", "gossip:3",
                                                 "smis", "smatching"};
@@ -278,31 +281,15 @@ TEST(SimKernels, RoundParallelDirtyWorkspaceIsBitIdentical) {
   }
 }
 
-// Families without a kernel (diagnostic lb algorithms) must fall back to
-// the Process path transparently.
-TEST(SimKernels, KernellessFamiliesStillRun) {
-  auto spec = make_spec("ttl:4", 3);
-  const app::PreparedExperiment prepared = app::prepare_experiment(spec);
-  EXPECT_FALSE(static_cast<bool>(prepared.kernel));
-  RunConfig plain;
-  EXPECT_FALSE(run_digest(spec, plain).empty());
-}
-
+// Every name rise_cli accepts resolves to a family handle; parameterized
+// names are instantiated with a small argument.
 TEST(SimKernels, KernelIsWiredForEveryMainFamily) {
-  for (const auto& algo : kAsyncFamilies) {
-    EXPECT_TRUE(static_cast<bool>(
-        app::prepare_experiment(make_spec(algo, 1)).kernel))
-        << algo;
-  }
-  for (const auto& algo : kAdviceSchemes) {
-    EXPECT_TRUE(static_cast<bool>(
-        app::prepare_experiment(make_spec(algo, 1)).kernel))
-        << algo;
-  }
-  for (const auto& algo : kSyncFamilies) {
-    EXPECT_TRUE(static_cast<bool>(
-        app::prepare_experiment(make_spec(algo, 1)).kernel))
-        << algo;
+  for (std::string name : app::algorithm_names()) {
+    const auto colon = name.find(':');
+    if (colon != std::string::npos) name = name.substr(0, colon) + ":2";
+    const app::AlgorithmSetup setup = app::parse_algorithm_spec(name);
+    EXPECT_TRUE(static_cast<bool>(setup.kernel)) << name;
+    EXPECT_TRUE(static_cast<bool>(setup.kernel.process_factory())) << name;
   }
 }
 
