@@ -7,13 +7,24 @@
 //       Sec. 3.1.1 stress): messages/(n ln n) and time/(n ln n) stay bounded;
 //   (b) schedule comparison at fixed n;
 //   (c) flooding comparison: on dense graphs RankedDFS sends far fewer
-//       messages (o(m)) at the cost of Theta(n) time.
+//       messages (o(m)) at the cost of Theta(n) time;
+//   (d) the CONGEST echo-DFS variant's message gap;
+//   (e) simulator cost: host ns per message of ranked_dfs vs
+//       ranked_dfs_congest on one n = 10^5 instance. The LOCAL token is
+//       charged its Theta(n)-label visited list but is stored once, so a hop
+//       must cost about as much host time as a CONGEST hop. Exits 1 when the
+//       ratio exceeds kMaxNsPerMessageRatio — a ratio, so the gate does not
+//       depend on the host's speed.
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "algo/flooding.hpp"
 #include "algo/ranked_dfs.hpp"
 #include "algo/ranked_dfs_congest.hpp"
+#include "app/spec.hpp"
 #include "bench_util.hpp"
 #include "graph/generators.hpp"
 #include "sim/async_engine.hpp"
@@ -34,7 +45,7 @@ void n_sweep() {
   bench::section("Theorem 3 (a): n-sweep, staggered-doubling adversary");
   bench::Table table({"n", "m", "messages", "msgs/(n ln n)", "time_units",
                       "time/(n ln n)"});
-  for (graph::NodeId n : {125u, 250u, 500u, 1000u, 2000u}) {
+  for (graph::NodeId n : {125u, 250u, 500u, 1000u, 2000u, 10000u, 100000u}) {
     Rng rng(n);
     const auto g = graph::connected_gnp(n, 8.0 / n, rng);
     const auto inst = kt1_instance(g, n + 1);
@@ -154,6 +165,52 @@ void congest_gap() {
       "This is why Theorem 3 is stated for LOCAL.\n");
 }
 
+constexpr double kMaxNsPerMessageRatio = 8.0;
+
+/// Section (e). Returns false when the ratio gate fails.
+bool host_cost_per_message() {
+  bench::section(
+      "Theorem 3 (e): host ns/message, LOCAL vs CONGEST (n = 10^5)");
+  bench::Table table({"algorithm", "messages", "logical bits", "run ms",
+                      "ns/message"});
+  double ns_per_message[2] = {0.0, 0.0};
+  const char* const algorithms[2] = {"ranked_dfs", "ranked_dfs_congest"};
+  for (int i = 0; i < 2; ++i) {
+    app::ExperimentSpec spec;
+    spec.graph = "cgnp:100000:0.00008";
+    spec.schedule = "random:0.2";
+    spec.delay = "random:4";
+    spec.algorithm = algorithms[i];
+    spec.seed = 1;
+    const app::PreparedExperiment prepared = app::prepare_experiment(spec);
+    sim::RunWorkspace workspace;
+    // Best of three on a warm workspace; only execute_prepared (schedule,
+    // delays, engine run) is timed, not graph or instance construction.
+    double best_ms = std::numeric_limits<double>::infinity();
+    app::ExperimentReport report;
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      report = app::execute_prepared(prepared, spec, {}, &workspace);
+      const std::chrono::duration<double, std::milli> ms =
+          std::chrono::steady_clock::now() - start;
+      best_ms = std::min(best_ms, ms.count());
+    }
+    const std::uint64_t messages = report.result.metrics.messages;
+    ns_per_message[i] = best_ms * 1e6 / static_cast<double>(messages);
+    table.add_row({algorithms[i], bench::fmt_u(messages),
+                   bench::fmt_u(report.result.metrics.bits),
+                   bench::fmt_f(best_ms, 1),
+                   bench::fmt_f(ns_per_message[i], 1)});
+  }
+  table.print();
+  const double ratio = ns_per_message[0] / ns_per_message[1];
+  const bool ok = ratio <= kMaxNsPerMessageRatio;
+  std::printf("ns/message ratio ranked_dfs / ranked_dfs_congest = %.2f "
+              "(gate: <= %.0f) %s\n",
+              ratio, kMaxNsPerMessageRatio, ok ? "ok" : "FAILED");
+  return ok;
+}
+
 }  // namespace
 
 int main() {
@@ -161,5 +218,5 @@ int main() {
   schedule_comparison();
   flooding_comparison();
   congest_gap();
-  return 0;
+  return host_cost_per_message() ? 0 : 1;
 }

@@ -18,6 +18,15 @@
 // which guarantees that all nodes wake with probability 1 (Las Vegas); the
 // staggered-wakeup analysis of Sec. 3.1.1 bounds time and messages by
 // O(n log n) w.h.p. against any oblivious adversary.
+//
+// Simulator representation: a token is a single walker, so its visited list
+// only grows along the walk. The list is stored once per token, in its
+// origin's state, and a hop carries a handle to it plus its length; every
+// message is still charged the LOCAL model's full size in logical bits
+// (rank + origin + |visited| labels). A hop therefore costs O(1) expected
+// host work instead of Theta(|visited|), plus the port scan for the next
+// unvisited neighbor, which resumes where it stopped: over a token's whole
+// walk each port of a visited node is scanned once.
 #pragma once
 
 #include "sim/kernel.hpp"

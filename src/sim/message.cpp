@@ -19,7 +19,7 @@ constexpr std::uint32_t kMaxPooledWords = 1u << 14;
 
 /// Free buffers retained per size class; bounds arena memory at
 /// sum_c kMaxPerClass * 2^c words (< 17 MiB worst case, far less in
-/// practice since only fast-wakeup/DFS payloads spill at all).
+/// practice since only fast-wakeup payloads spill at all).
 constexpr std::size_t kMaxPerClass = 64;
 
 constexpr std::size_t kNumClasses = 12;  // caps 2^3 .. 2^14

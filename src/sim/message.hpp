@@ -8,9 +8,10 @@
 // 8 + 64 * payload_words bits is charged.
 //
 // The payload container (PayloadWords) stores up to kInlineWords words
-// inline, so the 0–2-word messages of flooding, gossip and ranked DFS never
-// touch the heap; only large payloads (fast-wakeup label lists, DFS visited
-// sets) spill to an allocation.
+// inline, so the messages of flooding, gossip and ranked DFS (whose visited
+// list travels as a handle plus its length, charged in logical bits) never
+// touch the heap; only large payloads (fast-wakeup label lists) spill to an
+// allocation.
 #pragma once
 
 #include <cstdint>

@@ -111,6 +111,34 @@ AsyncScenario ranked_dfs_scenario() {
           44, algo::ranked_dfs_factory()};
 }
 
+/// The leader-election announce pass (kDfsLeader) on top of the wake-up
+/// tokens: the trace pins both passes and every node's recorded leader.
+AsyncScenario leader_scenario() {
+  Rng grng(45);
+  auto g = graph::connected_gnp(30, 0.18, grng);
+  sim::InstanceOptions opt;
+  opt.knowledge = sim::Knowledge::KT1;
+  Rng irng(108);
+  Rng srng(19);
+  return {sim::Instance::create(std::move(g), opt, irng),
+          sim::random_delay(9, 31), sim::wake_random_subset(30, 0.3, srng),
+          49, algo::ranked_dfs_leader_factory()};
+}
+
+/// The no-discard ablation: every token runs its DFS to completion, so the
+/// trace holds several complete traversals crossing each other.
+AsyncScenario ranked_dfs_no_discard_scenario() {
+  Rng grng(57);
+  auto g = graph::connected_gnp(20, 0.25, grng);
+  sim::InstanceOptions opt;
+  opt.knowledge = sim::Knowledge::KT1;
+  Rng irng(109);
+  Rng srng(23);
+  return {sim::Instance::create(std::move(g), opt, irng),
+          sim::random_delay(5, 61), sim::wake_random_subset(20, 0.3, srng),
+          50, algo::ranked_dfs_no_discard_factory()};
+}
+
 /// Runs a scenario in every backend and checks the golden hash plus
 /// backend-for-backend bit-identity.
 void check_async_golden(const AsyncScenario& s, std::uint64_t golden_hash) {
@@ -149,6 +177,17 @@ TEST(GoldenTraces, AsyncGossipSlowChannelsStaggeredWakeup) {
 
 TEST(GoldenTraces, AsyncRankedDfsKt1RandomAwakeSet) {
   check_async_golden(ranked_dfs_scenario(), 1470553050188468364ULL);
+}
+
+// Recorded on the engines and RankedDFS encoding that preceded the
+// store-once token logs (each hop then copied the whole visited list into
+// the payload); the logs must reproduce them bit-for-bit.
+TEST(GoldenTraces, AsyncLeaderKt1RandomAwakeSet) {
+  check_async_golden(leader_scenario(), 6127987707891711691ULL);
+}
+
+TEST(GoldenTraces, AsyncRankedDfsNoDiscardKt1) {
+  check_async_golden(ranked_dfs_no_discard_scenario(), 11187109692023050234ULL);
 }
 
 TEST(GoldenTraces, SyncFlooding) {

@@ -257,6 +257,30 @@ TEST(SimKernels, RoundParallelOnThreadPoolIsBitIdentical) {
   }
 }
 
+// RankedDFS stores each token's visited list once, in the origin's state,
+// and whichever node holds the token appends to it. Forced onto the
+// lock-step engine with wake-all on a real pool, workers step many token
+// holders in one round; only the holder may touch a log, so every variant
+// stays bit-identical (and race-free under -DRISE_SANITIZE=thread).
+TEST(SimKernels, RankedDfsTokenLogsOnThreadPoolAreBitIdentical) {
+  runner::ThreadPool pool(3);
+  runner::PoolChunkExecutor executor(&pool);
+  for (const auto& algo : {std::string("ranked_dfs"), std::string("leader"),
+                           std::string("ranked_dfs_nodiscard")}) {
+    auto spec = make_spec(algo, 13);
+    spec.graph = "cgnp:300:0.03";
+    spec.schedule = "all";
+    spec.delay = "unit";
+    RunConfig sequential;
+    sequential.force_sync_engine = true;
+    RunConfig parallel = sequential;
+    parallel.trial_jobs = 6;
+    parallel.trial_executor = &executor;
+    EXPECT_EQ(run_digest(spec, sequential), run_digest(spec, parallel))
+        << algo;
+  }
+}
+
 // Dirty-workspace reuse on the parallel path: chunk outboxes and the flat
 // wake schedule are recycled pools, and switching trial_jobs between runs
 // re-shapes them; every dirty digest must equal a fresh sequential run.
