@@ -1,10 +1,13 @@
-// Campaign-throughput micro-benchmark: prepared/reuse hot path vs the
-// rebuild-per-trial path, plus an allocation-count probe.
+// Campaign-throughput micro-benchmark: the campaign's prepared/reuse hot
+// path vs a rebuild-per-trial baseline, plus an allocation-count probe.
 //
-// Each case runs the same CampaignPlan twice — once with reuse disabled
-// (every trial re-prepares its inputs and builds a fresh engine) and once
-// with the shared-preparation + per-worker-workspace path — at jobs=1,
-// best-of-N wall clock. Both variants use the same PrepareMode, so their
+// Each case runs the same trials twice at jobs=1, best-of-N wall clock:
+// once as a custom TrialFn that calls
+// execute_prepared(prepare_experiment(prep_spec), spec) — every trial
+// re-prepares its inputs and builds a fresh engine, with no workspace — and
+// once through the campaign's default path (shared preparation cache under
+// kSharedConfig, per-worker workspace always). The baseline prepares from
+// the same seed the campaign would (the base seed under kSharedConfig), so
 // per-trial results must be bit-identical; the bench folds every trial's
 // scalar observables into a digest and fails (exit 1) on any mismatch.
 //
@@ -21,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "app/spec.hpp"
 #include "runner/campaign.hpp"
 #include "support/rng.hpp"
 
@@ -86,16 +90,29 @@ struct VariantStats {
 struct CaseResult {
   std::string name;
   bool gate = false;
-  runner::CampaignPlan plan;  // reuse flag ignored; set per variant
+  runner::CampaignPlan plan;  // the prepared variant's plan
   VariantStats rebuild;
   VariantStats prepared;
   double ratio = 0.0;
   bool digest_match = false;
 };
 
-VariantStats run_variant(runner::CampaignPlan plan, bool reuse,
-                         std::size_t reps) {
-  plan.reuse = reuse;
+/// The rebuild baseline: the same trials as a custom TrialFn that prepares
+/// and executes each one from scratch. A custom TrialFn runs under
+/// kPerTrial; a kSharedConfig plan's trials prepare from the base seed.
+runner::CampaignPlan rebuild_plan(runner::CampaignPlan plan) {
+  const bool shared = plan.prepare_mode == runner::PrepareMode::kSharedConfig;
+  const std::uint64_t base_seed = plan.base.seed;
+  plan.prepare_mode = runner::PrepareMode::kPerTrial;
+  plan.run = [shared, base_seed](const app::ExperimentSpec& spec) {
+    app::ExperimentSpec prep_spec = spec;
+    if (shared) prep_spec.seed = base_seed;
+    return app::execute_prepared(app::prepare_experiment(prep_spec), spec);
+  };
+  return plan;
+}
+
+VariantStats run_variant(const runner::CampaignPlan& plan, std::size_t reps) {
   runner::CampaignOptions options;
   options.jobs = 1;
   VariantStats stats;
@@ -132,9 +149,9 @@ VariantStats run_variant(runner::CampaignPlan plan, bool reuse,
 
 CaseResult run_case(CaseResult c, std::size_t reps) {
   std::fprintf(stderr, "case %s: rebuild...\n", c.name.c_str());
-  c.rebuild = run_variant(c.plan, /*reuse=*/false, reps);
+  c.rebuild = run_variant(rebuild_plan(c.plan), reps);
   std::fprintf(stderr, "case %s: prepared/reuse...\n", c.name.c_str());
-  c.prepared = run_variant(c.plan, /*reuse=*/true, reps);
+  c.prepared = run_variant(c.plan, reps);
   c.ratio = c.rebuild.trials_per_sec > 0.0
                 ? c.prepared.trials_per_sec / c.rebuild.trials_per_sec
                 : 0.0;
@@ -198,7 +215,7 @@ int main(int argc, char** argv) {
 
   std::vector<CaseResult> cases;
   {
-    // The acceptance-gate configuration (see ISSUE/EXPERIMENTS.md): shared
+    // The acceptance-gate configuration (see EXPERIMENTS.md): shared
     // preparation makes the rebuild-vs-reuse comparison apples-to-apples —
     // both variants prepare from the base seed, one of them once per trial.
     CaseResult c;

@@ -473,12 +473,19 @@ ExperimentReport execute_prepared(const PreparedExperiment& prepared,
     report.rho_awk = sim::schedule_awake_distance(g, schedule);
   }
 
-  // The flat kernel is the default; the generated Process path runs the
-  // same definition and is bit-identical (test_sim_kernels), so the choice
-  // never changes a result — only the per-trial allocation profile.
+  // The flat kernel is the default. use_virtual_processes runs the family's
+  // generated Processes through the same engine handler (ProcessAlgorithm);
+  // it is bit-identical (test_sim_kernels), so the choice never changes a
+  // result — only the per-trial allocation profile.
   RISE_CHECK_MSG(static_cast<bool>(prepared.kernel),
                  "prepared experiment has no algorithm handle");
-  const bool use_processes = instruments.use_virtual_processes;
+  const sim::KernelRunner processes =
+      instruments.use_virtual_processes
+          ? sim::make_kernel(
+                sim::ProcessAlgorithm{prepared.kernel.process_factory()})
+          : sim::KernelRunner{};
+  const sim::KernelRunner& runner =
+      instruments.use_virtual_processes ? processes : prepared.kernel;
   const bool synchronous =
       prepared.synchronous || instruments.force_sync_engine;
   if (synchronous) {
@@ -506,17 +513,7 @@ ExperimentReport execute_prepared(const PreparedExperiment& prepared,
                                    : &serial_executor;
     }
     obs::PhaseTimer timer(probe, "engine.run");
-    if (use_processes) {
-      sim::SyncEngine engine(instance, schedule, spec.seed);
-      engine.set_trace(args.trace);
-      engine.set_probe(probe);
-      engine.set_workspace(workspace);
-      engine.set_parallel(args.parallel);
-      report.result =
-          engine.run(prepared.kernel.process_factory(), args.limits);
-    } else {
-      report.result = prepared.kernel.run_sync(args);
-    }
+    report.result = runner.run_sync(args);
     timer.set_sim_span(report.result.metrics.rounds);
   } else {
     std::unique_ptr<sim::DelayPolicy> parsed;
@@ -528,26 +525,17 @@ ExperimentReport execute_prepared(const PreparedExperiment& prepared,
     if (instruments.on_setup) {
       instruments.on_setup(instance, schedule, delays, false);
     }
+    sim::AsyncKernelArgs args;
+    args.instance = &instance;
+    args.delays = delays;
+    args.schedule = &schedule;
+    args.seed = spec.seed;
+    args.trace = instruments.trace;
+    args.probe = probe;
+    args.queue_mode = instruments.queue_mode;
+    args.workspace = workspace;
     obs::PhaseTimer timer(probe, "engine.run");
-    if (use_processes) {
-      sim::AsyncEngine engine(instance, *delays, schedule, spec.seed);
-      engine.set_trace(instruments.trace);
-      engine.set_probe(probe);
-      engine.set_event_queue_mode(instruments.queue_mode);
-      engine.set_workspace(workspace);
-      report.result = engine.run(prepared.kernel.process_factory());
-    } else {
-      sim::AsyncKernelArgs args;
-      args.instance = &instance;
-      args.delays = delays;
-      args.schedule = &schedule;
-      args.seed = spec.seed;
-      args.trace = instruments.trace;
-      args.probe = probe;
-      args.queue_mode = instruments.queue_mode;
-      args.workspace = workspace;
-      report.result = prepared.kernel.run_async(args);
-    }
+    report.result = runner.run_async(args);
     timer.set_sim_span(std::max(report.result.metrics.last_delivery,
                                 report.result.metrics.last_wake));
   }

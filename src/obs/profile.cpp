@@ -607,59 +607,38 @@ std::string format_aggregate(const ProfileAggregate& a, std::size_t top_n) {
 std::string format_profile_document(const json::Value& doc,
                                     std::size_t top_n) {
   RISE_CHECK_MSG(doc.is_object(), "profile document is not a JSON object");
-  std::string kind = get_str(doc, "kind");
-  RISE_CHECK_MSG(kind == "run_profile" || kind == "profile_aggregate",
+  const std::string kind = get_str(doc, "kind");
+  if (kind == "run_profile") {
+    return format_profile(profile_from_json(doc), top_n);
+  }
+  RISE_CHECK_MSG(kind == "profile_aggregate",
                  "not a profile document (kind=" << kind << ")");
 
+  // An aggregate's SampleStats cannot be rebuilt from the quantiles its
+  // JSON keeps, so this kind is printed from the document itself.
   std::ostringstream os;
+  os << "profile aggregate over " << get_u64(doc, "trials") << " trials\n";
   const json::Value* totals = doc.find("totals");
-  if (kind == "run_profile") {
-    os << "run profile: " << get_str(doc, "algorithm") << " on "
-       << get_str(doc, "graph") << " (n=" << get_u64(doc, "num_nodes")
-       << ", m=" << get_u64(doc, "num_edges")
-       << ", schedule=" << get_str(doc, "schedule")
-       << ", delay=" << get_str(doc, "delay")
-       << ", seed=" << get_u64(doc, "seed") << ")\n";
-    if (totals != nullptr) {
-      os << "totals: messages=" << get_u64(*totals, "messages")
-         << " bits=" << get_u64(*totals, "bits")
-         << " events=" << get_u64(*totals, "events")
-         << " rounds=" << get_u64(*totals, "rounds")
-         << " time_units=" << fmt_double(get_num(*totals, "time_units"))
-         << '\n';
-    }
-    const json::Value* awake = doc.find("awake_rounds");
-    if (awake != nullptr && get_u64(*awake, "count") > 0 && totals != nullptr) {
-      const LogHistogram h = read_histogram(*awake);
-      os << "awake_rounds: total=" << get_u64(*totals, "awake_total")
-         << " p50=" << h.approx_quantile(0.5)
-         << " p90=" << h.approx_quantile(0.9)
-         << " max=" << get_u64(*totals, "awake_max")
-         << " sleep_dropped=" << get_u64(*totals, "sleep_dropped") << '\n';
-    }
-  } else {
-    os << "profile aggregate over " << get_u64(doc, "trials") << " trials\n";
-    if (totals != nullptr) {
-      os << "totals: messages=" << get_u64(*totals, "messages")
-         << " bits=" << get_u64(*totals, "bits")
-         << " events=" << get_u64(*totals, "events") << '\n';
-    }
-    const json::Value* mpt = doc.find("messages_per_trial");
-    if (mpt != nullptr && get_u64(*mpt, "count") > 0) {
-      os << "messages/trial: mean=" << fmt_double(get_num(*mpt, "mean"))
-         << " p50=" << fmt_double(get_num(*mpt, "p50"))
-         << " p90=" << fmt_double(get_num(*mpt, "p90"))
-         << " max=" << fmt_double(get_num(*mpt, "max")) << '\n';
-    }
-    const json::Value* awake = doc.find("awake_rounds");
-    if (awake != nullptr && get_u64(*awake, "count") > 0 && totals != nullptr) {
-      const LogHistogram h = read_histogram(*awake);
-      os << "awake_rounds: total=" << get_u64(*totals, "awake_total")
-         << " p50=" << h.approx_quantile(0.5)
-         << " p90=" << h.approx_quantile(0.9)
-         << " max=" << get_u64(*totals, "awake_max")
-         << " sleep_dropped=" << get_u64(*totals, "sleep_dropped") << '\n';
-    }
+  if (totals != nullptr) {
+    os << "totals: messages=" << get_u64(*totals, "messages")
+       << " bits=" << get_u64(*totals, "bits")
+       << " events=" << get_u64(*totals, "events") << '\n';
+  }
+  const json::Value* mpt = doc.find("messages_per_trial");
+  if (mpt != nullptr && get_u64(*mpt, "count") > 0) {
+    os << "messages/trial: mean=" << fmt_double(get_num(*mpt, "mean"))
+       << " p50=" << fmt_double(get_num(*mpt, "p50"))
+       << " p90=" << fmt_double(get_num(*mpt, "p90"))
+       << " max=" << fmt_double(get_num(*mpt, "max")) << '\n';
+  }
+  const json::Value* awake = doc.find("awake_rounds");
+  if (awake != nullptr && get_u64(*awake, "count") > 0 && totals != nullptr) {
+    const LogHistogram h = read_histogram(*awake);
+    os << "awake_rounds: total=" << get_u64(*totals, "awake_total")
+       << " p50=" << h.approx_quantile(0.5)
+       << " p90=" << h.approx_quantile(0.9)
+       << " max=" << get_u64(*totals, "awake_max")
+       << " sleep_dropped=" << get_u64(*totals, "sleep_dropped") << '\n';
   }
 
   const json::Value* phases = doc.find("phases");

@@ -41,10 +41,10 @@ sim::RunWorkspace& worker_workspace() {
 
 /// How the default-run path obtains and executes a trial's preparation.
 struct PreparedPolicy {
-  PreparedConfigCache* cache = nullptr;  ///< non-null: kSharedConfig + reuse
-  std::uint64_t prepare_seed = 0;        ///< base seed (kSharedConfig only)
-  bool shared_config = false;
-  bool reuse_workspace = false;
+  /// Non-null exactly under kSharedConfig: every trial of a config is
+  /// served one preparation, built from `prepare_seed` (the base seed).
+  PreparedConfigCache* cache = nullptr;
+  std::uint64_t prepare_seed = 0;
   std::uint32_t trial_jobs = 1;  ///< intra-trial round chunks (sync runs)
   sim::ChunkExecutor* trial_executor = nullptr;  ///< where chunks run
 };
@@ -127,10 +127,6 @@ TrialResult execute_trial(const Trial& trial, const TrialFn& run,
       // with the trial's own seed. Under kPerTrial the prep seed IS the
       // trial seed, so this is bit-identical to the legacy
       // run_experiment-per-trial campaign.
-      app::ExperimentSpec prep_spec = trial.spec;
-      if (policy.shared_config) prep_spec.seed = policy.prepare_seed;
-      sim::RunWorkspace* workspace =
-          policy.reuse_workspace ? &worker_workspace() : nullptr;
       obs::Probe probe;
       std::shared_ptr<const app::PreparedExperiment> prepared;
       if (policy.cache != nullptr) {
@@ -140,17 +136,19 @@ TrialResult execute_trial(const Trial& trial, const TrialFn& run,
         // profiles nondeterministic). Shared-mode profiles therefore have
         // no setup.graph/instance/advice timers — the cost is amortized
         // away, which is the point.
+        app::ExperimentSpec prep_spec = trial.spec;
+        prep_spec.seed = policy.prepare_seed;
         prepared = policy.cache->get_or_prepare(prep_spec);
       } else {
         prepared = std::make_shared<const app::PreparedExperiment>(
-            app::prepare_experiment(prep_spec, profile ? &probe : nullptr));
+            app::prepare_experiment(trial.spec, profile ? &probe : nullptr));
       }
       app::RunInstruments instruments;
       if (profile) instruments.probe = &probe;
       instruments.trial_jobs = policy.trial_jobs;
       instruments.trial_executor = policy.trial_executor;
       report = app::execute_prepared(*prepared, trial.spec, instruments,
-                                     workspace);
+                                     &worker_workspace());
       if (profile) {
         r.profile = std::make_shared<const obs::RunProfile>(
             app::take_run_profile(probe, report, trial.spec));
@@ -176,7 +174,7 @@ TrialResult execute_trial(const Trial& trial, const TrialFn& run,
     // Digest before the result buffers are recycled. A pure function of the
     // trial's inputs — the currency of the shard/resume equivalence tests.
     r.result_digest = check::digest_run(report.result);
-    if (!run && policy.reuse_workspace) {
+    if (!run) {
       // Everything needed is extracted; hand the per-node result buffers
       // back so the next trial on this worker reuses their capacity.
       worker_workspace().recycle_result(std::move(report.result));
@@ -367,14 +365,13 @@ CampaignResult run_campaign(const CampaignPlan& plan,
   // Profiling needs the probe seam; a custom TrialFn has none.
   const bool profile = plan.profile && !plan.run;
 
+  const bool shared_config = plan.prepare_mode == PrepareMode::kSharedConfig;
   PreparedConfigCache cache;
   PreparedPolicy policy;
-  policy.shared_config = plan.prepare_mode == PrepareMode::kSharedConfig;
   policy.prepare_seed = plan.base.seed;
-  policy.reuse_workspace = !plan.run && plan.reuse;
   // The cache only pays off when trials can actually share a preparation,
   // i.e. when the prep seed is per-config rather than per-trial.
-  if (policy.shared_config && plan.reuse) policy.cache = &cache;
+  if (shared_config) policy.cache = &cache;
 
   StoreContext sc;
   sc.store = options.store;
@@ -384,9 +381,8 @@ CampaignResult run_campaign(const CampaignPlan& plan,
   sc.serve_hits = !profile;
   sc.die_after = options.die_after;
   if (sc.store != nullptr) {
-    sc.prepare_tag = policy.shared_config
-                         ? store::prepare_tag_shared(plan.base.seed)
-                         : store::prepare_tag_per_trial();
+    sc.prepare_tag = shared_config ? store::prepare_tag_shared(plan.base.seed)
+                                   : store::prepare_tag_per_trial();
   }
 
   CampaignResult result;

@@ -141,11 +141,11 @@ struct CampaignResult {
   /// Empty (trials == 0) unless CampaignPlan::profile was set.
   obs::ProfileAggregate profile;
 
-  /// Preparations actually built (cache misses under kSharedConfig + reuse;
-  /// one per trial otherwise; 0 with a custom TrialFn).
+  /// Preparations actually built (cache misses under kSharedConfig; one
+  /// per trial otherwise; 0 with a custom TrialFn).
   std::uint64_t prepared_configs = 0;
-  /// Trials served by an already-built preparation (kSharedConfig + reuse
-  /// only; 0 otherwise).
+  /// Trials served by an already-built preparation (kSharedConfig only; 0
+  /// otherwise).
   std::uint64_t prepared_cache_hits = 0;
 
   /// Result-store traffic (0 unless CampaignOptions::store was set): trials
@@ -197,14 +197,6 @@ struct CampaignPlan {
   /// semantics (one topology per configuration); kPerTrial preserves legacy
   /// digests exactly.
   PrepareMode prepare_mode = PrepareMode::kPerTrial;
-
-  /// Execution-level reuse: recycle per-worker engine workspaces across
-  /// trials, and (under kSharedConfig) serve all trials of a configuration
-  /// from one cached preparation. Never affects results — for any fixed
-  /// prepare_mode, digests are bit-identical with reuse on or off; the
-  /// differential tests in test_runner_campaign pin this. Off exists for
-  /// benchmarking the rebuild path and for bisecting.
-  bool reuse = true;
 };
 
 /// One shard of an N-way trial-index split (see runner/shard.hpp for the

@@ -56,7 +56,6 @@ JsonResultSink::JsonResultSink(std::ostream& os, const CampaignPlan& plan,
   writer_.kv("prepare_mode", plan.prepare_mode == PrepareMode::kSharedConfig
                                  ? "shared_config"
                                  : "per_trial");
-  writer_.kv("reuse", plan.reuse);
   writer_.kv("jobs", static_cast<std::uint64_t>(
                          jobs == 0 ? ThreadPool::hardware_threads() : jobs));
   writer_.key("provenance").begin_object();

@@ -6,7 +6,7 @@
 //     "base": { graph/schedule/algo/delay/seed },
 //     "seed_mode": "splitmix" | "sequential",
 //     "num_seeds": N,
-//     "prepare_mode": "per_trial" | "shared_config", "reuse": bool,
+//     "prepare_mode": "per_trial" | "shared_config",
 //     "jobs": J,
 //     "provenance": { hostname, commit, started_at (ISO-8601 UTC),
 //                     shard_index, shard_count, merged },
@@ -28,6 +28,8 @@
 //
 // Schema history: v2 added provenance, per-trial digest/cached, the summary
 // store block, and optional embedded run_profile objects (v1 had none).
+// Older v2 documents also carry a "reuse" boolean in the header; nothing
+// reads it, and it is no longer written.
 #pragma once
 
 #include <cstdint>

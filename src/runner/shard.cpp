@@ -185,7 +185,6 @@ std::vector<std::string> worker_command(const CampaignPlan& plan,
   if (plan.prepare_mode == PrepareMode::kSharedConfig) {
     cmd.push_back("--share-config");
   }
-  if (!plan.reuse) cmd.push_back("--no-reuse");
   if (options.profile) {
     cmd.push_back("--profile=" + worker_profile_path(options.store_dir,
                                                      shard));

@@ -1,7 +1,6 @@
 #include "sim/async_engine.hpp"
 
-#include "sim/engine_core.hpp"
-#include "sim/engine_impl.hpp"
+#include "sim/kernel.hpp"
 
 namespace rise::sim {
 
@@ -14,15 +13,17 @@ AsyncEngine::AsyncEngine(const Instance& instance, const DelayPolicy& delays,
 
 RunResult AsyncEngine::run(const ProcessFactory& factory,
                            const RunLimits& limits) {
-  // The runner must be destroyed before the core: it returns the channel and
-  // event storage to the workspace, then the core returns the per-node
-  // tables — the same hand-back order the engines have always used.
-  EngineCore core(instance_, delays_.max_delay(), seed_, factory, trace_,
-                  probe_, workspace_);
-  internal::ProcessHandler handler{core};
-  internal::AsyncRunner<internal::ProcessHandler> runner(
-      handler, core, delays_, schedule_, limits, queue_mode_, workspace_);
-  return runner.run();
+  AsyncKernelArgs args;
+  args.instance = &instance_;
+  args.delays = &delays_;
+  args.schedule = &schedule_;
+  args.seed = seed_;
+  args.limits = limits;
+  args.trace = trace_;
+  args.probe = probe_;
+  args.queue_mode = queue_mode_;
+  args.workspace = workspace_;
+  return internal::run_flat_async(ProcessAlgorithm{factory}, args);
 }
 
 RunResult run_async(const Instance& instance, const DelayPolicy& delays,

@@ -1,30 +1,19 @@
-// The engines' event loops, templated over the per-node dispatch strategy.
+// The engines' event loops, written once.
 //
-// Both engines run the same loops for two dispatch strategies:
-//
-//   * the virtual `Process` path (one heap object per node, ProcessFactory)
-//     — used by sim::AsyncEngine / SyncEngine callers, the NIH wrapper, and
-//     RunInstruments::use_virtual_processes; and
-//   * the flat kernel path (sim/kernel.hpp) — per-family node state in one
-//     vector, with on_wake/on_message/on_round resolved at compile time
-//     instead of through two pointer chases per event.
-//
-// Every built-in family is one algorithm definition from which
-// sim/kernel.hpp generates both: a Process per node, and a FlatHandler.
-//
-// AsyncRunner/SyncRunner here hold the loop code exactly once, templated on
-// a Handler with
+// AsyncRunner and SyncRunner hold the asynchronous and synchronous loops,
+// templated on a Handler with
 //
 //   handler.on_wake(ctx, cause)      // ctx.node() is the woken node
 //   handler.on_message(ctx, in)
 //   handler.on_round(ctx, inbox)
 //
-// ProcessHandler forwards each hook to the node's virtual Process, which
-// reproduces the historical engines verbatim; FlatHandler's template hooks
-// inline into the loop with the final context types below, devirtualizing
-// every ctx call the algorithm makes. Both paths run the identical
-// accounting/trace/queue code and the same hook bodies, which is why they
-// are bit-identical (pinned by test_sim_kernels).
+// There is one Handler: sim/kernel.hpp's FlatHandler<A>, generated from an
+// algorithm type. Every built-in family is such a type, and so is a
+// hand-written ProcessFactory (ProcessAlgorithm), so sim::AsyncEngine /
+// SyncEngine, RunInstruments::use_virtual_processes and the production
+// kernels all run this code. The handler's template hooks inline into the
+// loop with the final context types below, devirtualizing every ctx call a
+// family makes; a Process still sees them through sim::Context.
 #pragma once
 
 #include <algorithm>
@@ -46,24 +35,6 @@
 #include "support/check.hpp"
 
 namespace rise::sim::internal {
-
-/// Dispatches engine hooks to the node's heap-allocated virtual Process.
-struct ProcessHandler {
-  EngineCore& core;
-
-  template <class Ctx>
-  void on_wake(Ctx& ctx, WakeCause cause) {
-    core.process(ctx.node()).on_wake(ctx, cause);
-  }
-  template <class Ctx>
-  void on_message(Ctx& ctx, const Incoming& in) {
-    core.process(ctx.node()).on_message(ctx, in);
-  }
-  template <class Ctx>
-  void on_round(Ctx& ctx, std::span<const Incoming> inbox) {
-    core.process(ctx.node()).on_round(ctx, inbox);
-  }
-};
 
 template <class Handler>
 class AsyncRunner;
@@ -596,20 +567,17 @@ class SyncRunner {
   //      walking chunks in order reproduces the sequential per-receiver
   //      arrival order.
   //
-  // A chunk failure (invalid port, sleep-contract violation) is caught
-  // into its outbox and the lowest failed chunk is rethrown — that chunk
-  // contains the earliest active node, where the sequential loop would
-  // have stopped. Caveat: if one round produces both a worker-side error
-  // and a reduction-side error (CONGEST / max_messages), the worker-side
-  // one wins even when the sequential loop would have hit the other first;
-  // no shipped kernel triggers either.
+  // A worker-side failure (invalid port, sleep-contract violation) is
+  // caught into its chunk's outbox together with the failing step's
+  // partial record, sends up to the throw included. The reduction walks
+  // chunks in order up to and including that step, then rethrows: a
+  // reduction-side error (CONGEST / max_messages) the sequential loop
+  // would have hit first is raised first, and otherwise the stored error
+  // is — the sequential loop's error in either case.
   void step_parallel() {
     const std::size_t jobs = outboxes_.size();
     for (SyncChunkOutbox& ob : outboxes_) ob.reset(jobs);
     parallel_.executor->run(jobs, &SyncRunner::step_chunk_thunk, this);
-    for (SyncChunkOutbox& ob : outboxes_) {
-      if (ob.error != nullptr) std::rethrow_exception(ob.error);
-    }
     reduce_outboxes();
     parallel_.executor->run(jobs, &SyncRunner::scatter_chunk_thunk, this);
   }
@@ -630,10 +598,13 @@ class SyncRunner {
     std::vector<std::uint32_t>& awake_rounds = core_.result().awake_rounds;
     obs::DeferredMarkScope defer(&ob.marks, &ob.sends);
     ParSyncContext<Handler> ctx(*this, core_, ob);
+    SyncStepRecord st;
     try {
+      // Room for every record, so the catch below never reallocates.
+      ob.steps.reserve(end - begin);
       for (std::size_t i = begin; i < end; ++i) {
         const NodeId u = active_[i];
-        SyncStepRecord st;
+        st = SyncStepRecord{};
         st.node = u;
         st.send_begin = static_cast<std::uint32_t>(ob.order.size());
         ++awake_rounds[u];
@@ -656,6 +627,9 @@ class SyncRunner {
       }
     } catch (...) {
       ob.error = std::current_exception();
+      // The failing step's sends before the throw, for the reduction.
+      st.send_end = static_cast<std::uint32_t>(ob.order.size());
+      ob.steps.push_back(st);
     }
   }
 
@@ -705,6 +679,9 @@ class SyncRunner {
       for (; mark != ob.marks.end(); ++mark) {
         if (probe_ != nullptr) probe_->replay(*mark);
       }
+      // The failing step was this chunk's last record; every earlier
+      // effect in sequential order has now been applied.
+      if (ob.error != nullptr) std::rethrow_exception(ob.error);
     }
   }
 

@@ -1,4 +1,4 @@
-// One definition per algorithm family, two execution paths.
+// One definition per algorithm family, one engine handler.
 //
 // Every family is written once, as an *algorithm type*: its data members
 // are the family's immutable configuration, `State` is the per-node mutable
@@ -16,30 +16,30 @@
 //   };
 //
 // Hooks use only the sim::Context surface, so one body compiles against
-// both contexts the engines provide. From that single definition this
-// header generates both paths:
+// every context the engines provide. The engines run every algorithm type
+// through one generic Handler, FlatHandler<A>: it owns the per-node states
+// as a std::vector<State> held in the workspace's type-tagged slot (an
+// empty State gets no vector at all), and the hooks are instantiated on the
+// engine's final context types, so every ctx call inlines into the event
+// loop — no vtable on either side of the hot path and no per-node
+// allocation.
 //
-//   * make_kernel(A) — the flat path. One generic engine Handler owns the
-//     per-node states as a std::vector<State> held in the workspace's
-//     type-tagged slot (an empty State gets no vector at all), and the
-//     hooks are instantiated on the engine's final context types, so every
-//     ctx call inlines into the event loop — no vtable on either side of
-//     the hot path and no per-node allocation.
-//   * process_factory(A) — the virtual Process path: one heap Process per
-//     node holding one State, with the hooks instantiated on sim::Context.
-//     It serves sim::AsyncEngine / sim::SyncEngine users, the NIH wrapper,
-//     and RunInstruments::use_virtual_processes.
-//
-// Both paths therefore run the same code with the same RNG draws, message
-// encodings and probe marks; test_sim_kernels and the fuzzer's
-// dispatch-divergence differential pin them digest-for-digest.
+// A hand-written ProcessFactory is one more algorithm type
+// (ProcessAlgorithm): its State is the node's heap Process and its hooks
+// forward to the virtual ones. sim::AsyncEngine / sim::SyncEngine, the NIH
+// wrapper and RunInstruments::use_virtual_processes run it through the same
+// FlatHandler, and process_factory(A) turns any family into such a factory
+// (one AlgorithmProcess per node holding one State). The generated Process
+// runs the same hook bodies with the same RNG draws, message encodings and
+// probe marks; test_sim_kernels and the fuzzer's dispatch-divergence
+// differential pin it digest-for-digest against the flat kernel.
 //
 // KernelRunner is the type-erased handle of one configured family: two
-// std::functions run it flat under either engine, and process_factory()
-// yields the same family as Processes. The algorithm object is shared
-// (immutable) by every run and every process made from the handle, so one
-// handle may serve concurrent campaign workers; all mutable state lives in
-// the per-run handler and the per-thread workspace.
+// std::functions run it under either engine, and process_factory() yields
+// the same family as Processes. The algorithm object is shared (immutable)
+// by every run and every process made from the handle, so one handle may
+// serve concurrent campaign workers; all mutable state lives in the per-run
+// handler and the per-thread workspace.
 #pragma once
 
 #include <functional>
@@ -104,7 +104,8 @@ class KernelRunner {
   RunResult run_sync(const SyncKernelArgs& args) const { return sync_(args); }
 
   /// The same family as one heap Process per node, for sim::AsyncEngine /
-  /// sim::SyncEngine; bit-identical to run_async / run_sync.
+  /// sim::SyncEngine and RunInstruments::use_virtual_processes;
+  /// bit-identical to run_async / run_sync.
   const ProcessFactory& process_factory() const { return factory_; }
 
  private:
@@ -134,8 +135,8 @@ void dispatch_round(const A& algo, Ctx& ctx, typename A::State& self,
   }
 }
 
-/// The generated flat engine Handler (sim/engine_impl.hpp): node state in
-/// one vector indexed by engine node id, borrowed from the workspace's
+/// The engines' one Handler (sim/engine_impl.hpp): node state in one
+/// vector indexed by engine node id, borrowed from the workspace's
 /// type-tagged slot so back-to-back runs of a family reuse its capacity.
 template <class A>
 class FlatHandler {
@@ -193,6 +194,30 @@ class FlatHandler {
   [[no_unique_address]] State empty_{};
 };
 
+/// One asynchronous run of `algo`. The runner is destroyed before the
+/// handler and the core, so storage goes back to the workspace in the same
+/// order it was borrowed from it.
+template <class A>
+RunResult run_flat_async(const A& algo, const AsyncKernelArgs& a) {
+  EngineCore core(*a.instance, a.delays->max_delay(), a.seed, a.trace,
+                  a.probe, a.workspace);
+  FlatHandler<A> handler(algo, *a.instance, a.workspace);
+  AsyncRunner<FlatHandler<A>> runner(handler, core, *a.delays, *a.schedule,
+                                     a.limits, a.queue_mode, a.workspace);
+  return runner.run();
+}
+
+/// One synchronous run of `algo`; same ownership order as run_flat_async.
+template <class A>
+RunResult run_flat_sync(const A& algo, const SyncKernelArgs& a) {
+  EngineCore core(*a.instance, /*tau=*/1, a.seed, a.trace, a.probe,
+                  a.workspace);
+  FlatHandler<A> handler(algo, *a.instance, a.workspace);
+  SyncRunner<FlatHandler<A>> runner(handler, core, *a.schedule, a.limits,
+                                    a.workspace, a.parallel);
+  return runner.run();
+}
+
 /// The generated Process: one State, hooks instantiated on sim::Context.
 template <class A>
 class AlgorithmProcess final : public Process {
@@ -231,30 +256,42 @@ ProcessFactory process_factory(A algorithm) {
       std::make_shared<const A>(std::move(algorithm)));
 }
 
-/// The family as a KernelRunner: both flat engine paths plus the
-/// equivalent ProcessFactory, all sharing one immutable algorithm object.
+/// A ProcessFactory as an algorithm type: each node's State is the Process
+/// the factory makes for it (created once per run, in node order), and each
+/// hook forwards to the Process's virtual one.
+struct ProcessAlgorithm {
+  ProcessFactory factory;
+
+  using State = std::unique_ptr<Process>;
+
+  State make_state(NodeId u) const { return factory(u); }
+  template <class Ctx>
+  void on_wake(Ctx& ctx, State& self, WakeCause cause) const {
+    self->on_wake(ctx, cause);
+  }
+  template <class Ctx>
+  void on_message(Ctx& ctx, State& self, const Incoming& in) const {
+    self->on_message(ctx, in);
+  }
+  template <class Ctx>
+  void on_round(Ctx& ctx, State& self, std::span<const Incoming> inbox) const {
+    self->on_round(ctx, inbox);
+  }
+};
+
+/// The family as a KernelRunner: both engine paths plus the equivalent
+/// ProcessFactory, all sharing one immutable algorithm object.
 template <class A>
 KernelRunner make_kernel(A algorithm) {
   auto algo = std::make_shared<const A>(std::move(algorithm));
-  auto async_fn = [algo](const AsyncKernelArgs& a) -> RunResult {
-    EngineCore core(*a.instance, a.delays->max_delay(), a.seed, a.trace,
-                    a.probe, a.workspace);
-    internal::FlatHandler<A> handler(*algo, *a.instance, a.workspace);
-    internal::AsyncRunner<internal::FlatHandler<A>> runner(
-        handler, core, *a.delays, *a.schedule, a.limits, a.queue_mode,
-        a.workspace);
-    return runner.run();
-  };
-  auto sync_fn = [algo](const SyncKernelArgs& a) -> RunResult {
-    EngineCore core(*a.instance, /*tau=*/1, a.seed, a.trace, a.probe,
-                    a.workspace);
-    internal::FlatHandler<A> handler(*algo, *a.instance, a.workspace);
-    internal::SyncRunner<internal::FlatHandler<A>> runner(
-        handler, core, *a.schedule, a.limits, a.workspace, a.parallel);
-    return runner.run();
-  };
-  return KernelRunner(std::move(async_fn), std::move(sync_fn),
-                      internal::process_factory(algo));
+  return KernelRunner(
+      [algo](const AsyncKernelArgs& a) {
+        return internal::run_flat_async(*algo, a);
+      },
+      [algo](const SyncKernelArgs& a) {
+        return internal::run_flat_sync(*algo, a);
+      },
+      internal::process_factory(algo));
 }
 
 }  // namespace rise::sim

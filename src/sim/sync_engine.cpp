@@ -1,7 +1,6 @@
 #include "sim/sync_engine.hpp"
 
-#include "sim/engine_core.hpp"
-#include "sim/engine_impl.hpp"
+#include "sim/kernel.hpp"
 
 namespace rise::sim {
 
@@ -11,14 +10,16 @@ SyncEngine::SyncEngine(const Instance& instance, WakeSchedule schedule,
 
 RunResult SyncEngine::run(const ProcessFactory& factory,
                           const SyncRunLimits& limits) {
-  // Runner before core teardown: inboxes go back to the workspace first,
-  // then the core's per-node tables (the historical hand-back order).
-  EngineCore core(instance_, /*tau=*/1, seed_, factory, trace_, probe_,
-                  workspace_);
-  internal::ProcessHandler handler{core};
-  internal::SyncRunner<internal::ProcessHandler> runner(
-      handler, core, schedule_, limits, workspace_, parallel_);
-  return runner.run();
+  SyncKernelArgs args;
+  args.instance = &instance_;
+  args.schedule = &schedule_;
+  args.seed = seed_;
+  args.limits = limits;
+  args.trace = trace_;
+  args.probe = probe_;
+  args.workspace = workspace_;
+  args.parallel = parallel_;
+  return internal::run_flat_sync(ProcessAlgorithm{factory}, args);
 }
 
 RunResult run_sync(const Instance& instance, const WakeSchedule& schedule,

@@ -7,6 +7,9 @@
 // the vectors in, size them with assign()/resize() (which reuse capacity),
 // and move them back out on destruction — so steady-state trials on a fixed
 // topology perform near-zero heap allocations outside the algorithm itself.
+// The algorithm's per-node state — a family's flat States, or the Processes
+// of a ProcessFactory run — is recycled the same way, through one
+// type-tagged handler slot.
 //
 // A workspace is single-threaded state: it must only ever be used by one
 // engine at a time, on one thread (the campaign runner keeps one per worker
@@ -93,7 +96,6 @@ struct SyncChunkOutbox {
 
 struct RunWorkspace {
   // EngineCore storage (both engines).
-  std::vector<std::unique_ptr<Process>> processes;
   std::vector<Rng> rngs;
   std::vector<std::uint8_t> awake;
   RunResult result;  ///< recycled result buffers; see recycle_result()
@@ -111,11 +113,11 @@ struct RunWorkspace {
   std::vector<NodeId> sync_active;                  // per-round active set
   std::vector<SyncChunkOutbox> sync_outboxes;       // parallel rounds only
 
-  // Kernel-path storage (sim/kernel.hpp): one type-tagged slot holding the
-  // current algorithm family's flat node-state vector, so back-to-back
-  // kernel runs of the same family reuse its capacity. Switching families
-  // replaces the slot (campaigns run one family per campaign, so this never
-  // thrashes in practice).
+  // Handler storage (sim/kernel.hpp): one type-tagged slot holding the
+  // current algorithm type's node-state vector — a family's flat States, or
+  // the Processes of a ProcessFactory run — so back-to-back runs of the same
+  // type reuse its capacity. Switching types replaces the slot (campaigns
+  // run one family per campaign, so this never thrashes in practice).
   std::shared_ptr<void> kernel_state;
   const std::type_info* kernel_state_type = nullptr;
 

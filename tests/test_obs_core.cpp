@@ -272,9 +272,11 @@ TEST(ProfileJson, RoundTripsThroughTheRepoParser) {
   // Determinism: serializing the same profile twice is byte-identical.
   EXPECT_EQ(text, obs::profile_to_json(p));
 
-  // The CLI pretty-printer accepts the parsed document.
+  // The CLI pretty-printer accepts the parsed document and prints it
+  // exactly as the in-memory formatter prints the profile.
   const std::string pretty = obs::format_profile_document(doc);
   EXPECT_NE(pretty.find("flood"), std::string::npos);
+  EXPECT_EQ(pretty, obs::format_profile(p));
   EXPECT_THROW(obs::format_profile_document(json::parse("{\"kind\":\"x\"}")),
                CheckError);
 }

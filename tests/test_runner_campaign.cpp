@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "check/scenario.hpp"
 #include "runner/result_sink.hpp"
 #include "support/check.hpp"
 #include "support/json.hpp"
@@ -303,9 +304,10 @@ void expect_trials_identical(const CampaignResult& a, const CampaignResult& b) {
 }
 
 TEST(RunCampaign, ReuseNeverChangesResults) {
-  // The tentpole's correctness contract: for either prepare mode, the
-  // prepared/reuse hot path and the rebuild-per-trial path are bit-identical
-  // per trial (this is the gate digest property, asserted field by field).
+  // The campaign's correctness contract: for either prepare mode, the
+  // prepared/reuse hot path (shared preparation cache, per-worker
+  // workspaces, four workers) is bit-identical per trial to preparing and
+  // executing that trial from scratch.
   for (const PrepareMode mode :
        {PrepareMode::kPerTrial, PrepareMode::kSharedConfig}) {
     SCOPED_TRACE(mode == PrepareMode::kPerTrial ? "per_trial"
@@ -318,13 +320,26 @@ TEST(RunCampaign, ReuseNeverChangesResults) {
     plan.grid = {GridAxis{"algo", {"flooding", "ranked_dfs"}}};
     plan.prepare_mode = mode;
 
-    plan.reuse = false;
-    const CampaignResult rebuild = run_campaign(plan);
-    plan.reuse = true;
     CampaignOptions parallel;
-    parallel.jobs = 4;  // reuse must also be jobs-independent
+    parallel.jobs = 4;
     const CampaignResult reused = run_campaign(plan, parallel);
-    expect_trials_identical(rebuild, reused);
+    ASSERT_EQ(reused.trials.size(), 24u);
+    for (const TrialResult& r : reused.trials) {
+      SCOPED_TRACE(r.trial.index);
+      app::ExperimentSpec prep_spec = r.trial.spec;
+      if (mode == PrepareMode::kSharedConfig) prep_spec.seed = plan.base.seed;
+      const app::ExperimentReport fresh = app::execute_prepared(
+          app::prepare_experiment(prep_spec), r.trial.spec);
+      ASSERT_TRUE(r.ok) << r.error;
+      EXPECT_EQ(r.num_nodes, fresh.num_nodes);
+      EXPECT_EQ(r.num_edges, fresh.num_edges);
+      EXPECT_EQ(r.all_awake, fresh.result.all_awake());
+      EXPECT_EQ(r.messages, fresh.result.metrics.messages);
+      EXPECT_EQ(r.bits, fresh.result.metrics.bits);
+      EXPECT_EQ(r.time_units, fresh.result.metrics.time_units());  // exact
+      EXPECT_EQ(r.rounds, fresh.result.metrics.rounds);
+      EXPECT_EQ(r.result_digest, check::digest_run(fresh.result));
+    }
   }
 }
 
@@ -360,24 +375,17 @@ TEST(RunCampaign, PreparedCountersTrackCacheUse) {
   plan.num_seeds = 6;
   plan.grid = {GridAxis{"algo", {"flooding", "ranked_dfs"}}};
 
-  // Shared + reuse: one preparation per config, the rest are cache hits.
+  // Shared: one preparation per config, the rest are cache hits.
   plan.prepare_mode = PrepareMode::kSharedConfig;
-  plan.reuse = true;
   const CampaignResult shared = run_campaign(plan);
   EXPECT_EQ(shared.prepared_configs, 2u);
   EXPECT_EQ(shared.prepared_cache_hits, 10u);
 
-  // Per-trial (or reuse off): every trial prepares for itself.
+  // Per-trial: every trial prepares for itself.
   plan.prepare_mode = PrepareMode::kPerTrial;
   const CampaignResult per_trial = run_campaign(plan);
   EXPECT_EQ(per_trial.prepared_configs, 12u);
   EXPECT_EQ(per_trial.prepared_cache_hits, 0u);
-
-  plan.prepare_mode = PrepareMode::kSharedConfig;
-  plan.reuse = false;
-  const CampaignResult rebuild = run_campaign(plan);
-  EXPECT_EQ(rebuild.prepared_configs, 12u);
-  EXPECT_EQ(rebuild.prepared_cache_hits, 0u);
 }
 
 TEST(RunCampaign, SharedConfigProfilesStayDeterministic) {
@@ -465,7 +473,6 @@ TEST(JsonResultSinkTest, RoundTripsThroughJsonReader) {
   EXPECT_EQ(doc.at("jobs").u64, 3u);
   EXPECT_EQ(doc.at("seed_mode").string, "splitmix");
   EXPECT_EQ(doc.at("prepare_mode").string, "per_trial");  // plan default
-  EXPECT_TRUE(doc.at("reuse").boolean);
   EXPECT_EQ(doc.at("base").at("graph").string, "path:16");
   ASSERT_EQ(doc.at("grid").size(), 1u);
   EXPECT_EQ(doc.at("grid").at(std::size_t{0}).at("param").string, "algo");

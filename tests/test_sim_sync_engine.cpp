@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "algo/flooding.hpp"
 #include "graph/generators.hpp"
+#include "runner/thread_pool.hpp"
 #include "support/check.hpp"
 #include "test_util.hpp"
 
@@ -159,6 +161,62 @@ TEST(SyncEngine, DeterministicAcrossRuns) {
   const auto r2 = run_sync(inst, wake_single(7), 9, algo::flooding_factory());
   EXPECT_EQ(r1.wake_time, r2.wake_time);
   EXPECT_EQ(r1.metrics.messages, r2.metrics.messages);
+}
+
+TEST(SyncEngine, RoundParallelRaisesTheErrorTheSerialLoopReachesFirst) {
+  // One round raises two errors: a message over the CONGEST budget (caught
+  // when the send is accounted, which the round-parallel engine does in its
+  // reduction) and a send on a port the node does not have (caught on the
+  // worker). The serial loop reaches the CONGEST send first in both cases,
+  // so every job count must surface it:
+  //   * node 0 sends the fat message, node 3 (the last chunk) the bad port;
+  //   * node 3 sends both, the fat one first — the reduction must replay
+  //     the failing step's sends up to the throw.
+  const auto g = graph::path(4);
+  const Instance inst =
+      test::make_instance(g, Knowledge::KT1, Bandwidth::CONGEST);
+  for (const graph::NodeId fat_node : {0u, 3u}) {
+    SCOPED_TRACE(fat_node);
+    const ProcessFactory two_faults = [fat_node](graph::NodeId node) {
+      class P final : public Process {
+       public:
+        P(bool fat, bool bad_port) : fat_(fat), bad_port_(bad_port) {}
+        void on_wake(Context& ctx, WakeCause) override {
+          if (fat_) {
+            std::vector<std::uint64_t> payload(100, 7);
+            ctx.send(0, make_message(9, std::move(payload), 6400));
+          }
+          if (bad_port_) ctx.send(5, Message{});
+        }
+        void on_message(Context&, const Incoming&) override {}
+
+       private:
+        bool fat_;
+        bool bad_port_;
+      };
+      return std::make_unique<P>(node == fat_node, node == 3);
+    };
+    const auto error_at = [&](std::uint32_t jobs,
+                              ChunkExecutor* executor) -> std::string {
+      SyncEngine engine(inst, wake_all(4), 1);
+      engine.set_parallel({executor, jobs});
+      try {
+        engine.run(two_faults);
+      } catch (const CheckError& e) {
+        return e.what();
+      }
+      return "no error";
+    };
+    SerialChunkExecutor serial;
+    runner::ThreadPool pool(2);
+    runner::PoolChunkExecutor pooled(&pool);
+    const std::string expected = error_at(1, &serial);
+    EXPECT_NE(expected.find("CONGEST violation"), std::string::npos)
+        << expected;
+    EXPECT_EQ(error_at(2, &serial), expected);
+    EXPECT_EQ(error_at(4, &serial), expected);
+    EXPECT_EQ(error_at(2, &pooled), expected);
+  }
 }
 
 }  // namespace

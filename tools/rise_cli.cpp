@@ -41,7 +41,7 @@ void usage() {
       "                [--delay SPEC] [--seed N] [--seeds COUNT] [--jobs N]\n"
       "                [--trial-jobs N] [--json PATH] [--grid PARAM=a,b,c]...\n"
       "                [--progress] [--profile[=PATH]] [--share-config]\n"
-      "                [--no-reuse] [--store DIR] [--shard K/N]\n"
+      "                [--store DIR] [--shard K/N]\n"
       "       rise_cli shard --workers N --store DIR [campaign flags]\n"
       "                      [--max-restarts N] [--json PATH]\n"
       "                      [--profile[=PATH]]\n"
@@ -100,10 +100,7 @@ void usage() {
       "                    randomness vary per trial. Changes what is\n"
       "                    measured — variance over runs on one topology —\n"
       "                    so it is opt-in; default rebuilds per trial seed.\n"
-      "  --no-reuse        disable execution-level reuse (per-worker engine\n"
-      "                    workspaces + the shared-config preparation\n"
-      "                    cache). Results are bit-identical either way;\n"
-      "                    exists for benchmarking the rebuild path.\n"
+
       "  --store DIR       content-addressed result store: trials already\n"
       "                    recorded (same spec + seed + prepare mode) are\n"
       "                    served from DIR without executing; every executed\n"
@@ -181,6 +178,92 @@ std::vector<std::string> split_commas(const std::string& text) {
   }
   return out;
 }
+
+/// The campaign-plan flags `run` and `shard` share, parsed in one place.
+/// --jobs is not among them: it counts threads per campaign in `run` and
+/// threads per worker process in `shard`.
+struct PlanFlags {
+  rise::app::ExperimentSpec spec;
+  std::vector<std::string> grid_args;
+  std::size_t seeds = 1;
+  bool share_config = false;
+  std::uint32_t trial_jobs = 1;
+  rise::runner::ShardStrategy shard_strategy =
+      rise::runner::ShardStrategy::kRoundRobin;
+  bool profile = false;
+  std::string profile_path;
+  int progress_state = -1;  // -1 auto (tty), 0 off, 1 on
+
+  /// Consumes `arg` (and its value, through `value`) if it is a plan flag;
+  /// returns false otherwise. Exits with status 2 on a malformed value.
+  template <class Value>
+  bool parse(const std::string& arg, Value&& value) {
+    if (arg == "--graph") {
+      spec.graph = value();
+    } else if (arg == "--schedule") {
+      spec.schedule = value();
+    } else if (arg == "--algo") {
+      spec.algorithm = value();
+    } else if (arg == "--delay") {
+      spec.delay = value();
+    } else if (arg == "--seed") {
+      spec.seed = parse_count(arg, value());
+    } else if (arg == "--seeds") {
+      seeds = parse_count(arg, value());
+    } else if (arg == "--grid") {
+      grid_args.push_back(value());
+    } else if (arg == "--share-config") {
+      share_config = true;
+    } else if (arg == "--trial-jobs") {
+      trial_jobs = static_cast<std::uint32_t>(parse_count(arg, value()));
+    } else if (arg == "--shard-strategy") {
+      const std::string s = value();
+      if (s == "block") {
+        shard_strategy = rise::runner::ShardStrategy::kBlock;
+      } else if (s == "roundrobin") {
+        shard_strategy = rise::runner::ShardStrategy::kRoundRobin;
+      } else {
+        std::fprintf(stderr,
+                     "error: --shard-strategy expects roundrobin|block\n");
+        std::exit(2);
+      }
+    } else if (arg == "--profile") {
+      profile = true;
+    } else if (arg.rfind("--profile=", 0) == 0) {
+      profile = true;
+      profile_path = arg.substr(std::strlen("--profile="));
+    } else if (arg == "--progress") {
+      progress_state = 1;
+    } else if (arg == "--no-progress") {
+      progress_state = 0;
+    } else {
+      return false;
+    }
+    return true;
+  }
+
+  /// The campaign plan these flags describe. Throws on a bad --grid axis.
+  rise::runner::CampaignPlan plan() const {
+    rise::runner::CampaignPlan plan;
+    plan.base = spec;
+    plan.num_seeds = seeds;
+    plan.profile = profile;
+    plan.prepare_mode = share_config ? rise::runner::PrepareMode::kSharedConfig
+                                     : rise::runner::PrepareMode::kPerTrial;
+    for (const auto& axis : grid_args) {
+      plan.grid.push_back(rise::runner::parse_grid_axis(axis));
+    }
+    return plan;
+  }
+
+  std::string profile_out() const {
+    return profile_path.empty() ? "profile.json" : profile_path;
+  }
+  bool progress() const {
+    return progress_state == -1 ? isatty(fileno(stderr)) != 0
+                                : progress_state == 1;
+  }
+};
 
 int run_fuzz_command(int argc, char** argv) {
   using namespace rise;
@@ -422,15 +505,8 @@ std::string self_exe(const char* argv0) {
 
 int run_shard_command(int argc, char** argv) {
   using namespace rise;
-  app::ExperimentSpec spec;
-  runner::CampaignPlan plan;
+  PlanFlags flags;
   runner::ShardCampaignOptions options;
-  std::vector<std::string> grid_args;
-  std::string profile_path;
-  std::size_t seeds = 1;
-  bool profile = false;
-  bool share_config = false;
-  int progress_state = -1;  // -1 auto (tty), 0 off, 1 on
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> std::string {
@@ -440,53 +516,17 @@ int run_shard_command(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--graph") {
-      spec.graph = value();
-    } else if (arg == "--schedule") {
-      spec.schedule = value();
-    } else if (arg == "--algo") {
-      spec.algorithm = value();
-    } else if (arg == "--delay") {
-      spec.delay = value();
-    } else if (arg == "--seed") {
-      spec.seed = parse_count(arg, value());
-    } else if (arg == "--seeds") {
-      seeds = parse_count(arg, value());
-    } else if (arg == "--grid") {
-      grid_args.push_back(value());
-    } else if (arg == "--share-config") {
-      share_config = true;
-    } else if (arg == "--no-reuse") {
-      plan.reuse = false;
-    } else if (arg == "--workers") {
+    if (flags.parse(arg, value)) continue;
+    if (arg == "--workers") {
       options.workers = static_cast<std::uint32_t>(parse_count(arg, value()));
     } else if (arg == "--jobs") {
       options.jobs_per_worker = parse_count(arg, value());
-    } else if (arg == "--trial-jobs") {
-      options.trial_jobs =
-          static_cast<std::uint32_t>(parse_count(arg, value()));
     } else if (arg == "--store") {
       options.store_dir = value();
     } else if (arg == "--max-restarts") {
       options.max_restarts = static_cast<int>(parse_count(arg, value()));
-    } else if (arg == "--shard-strategy") {
-      const std::string s = value();
-      if (s == "block") {
-        options.strategy = runner::ShardStrategy::kBlock;
-      } else if (s == "roundrobin") {
-        options.strategy = runner::ShardStrategy::kRoundRobin;
-      } else {
-        std::fprintf(stderr,
-                     "error: --shard-strategy expects roundrobin|block\n");
-        return 2;
-      }
     } else if (arg == "--json") {
       options.json_path = value();
-    } else if (arg == "--profile") {
-      profile = true;
-    } else if (arg.rfind("--profile=", 0) == 0) {
-      profile = true;
-      profile_path = arg.substr(std::strlen("--profile="));
     } else if (arg == "--die-once") {
       // Fault injection for the resume tests: K:N makes worker K (first
       // launch only) SIGKILL itself after N executed trials.
@@ -500,10 +540,6 @@ int run_shard_command(int argc, char** argv) {
           parse_count(arg, kv.substr(0, colon)));
       options.die_after =
           static_cast<int>(parse_count(arg, kv.substr(colon + 1)));
-    } else if (arg == "--progress") {
-      progress_state = 1;
-    } else if (arg == "--no-progress") {
-      progress_state = 0;
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
@@ -520,20 +556,15 @@ int run_shard_command(int argc, char** argv) {
     std::fprintf(stderr, "error: --workers must be >= 1\n");
     return 2;
   }
-  plan.base = spec;
-  plan.num_seeds = seeds;
-  plan.profile = profile;
-  plan.prepare_mode = share_config ? runner::PrepareMode::kSharedConfig
-                                   : runner::PrepareMode::kPerTrial;
-  for (const auto& axis : grid_args) {
-    plan.grid.push_back(runner::parse_grid_axis(axis));
-  }
+  const runner::CampaignPlan plan = flags.plan();
+  const bool profile = flags.profile;
+  options.trial_jobs = flags.trial_jobs;
+  options.strategy = flags.shard_strategy;
   options.exe = self_exe(argv[0]);
-  options.progress =
-      progress_state == -1 ? isatty(fileno(stderr)) != 0 : progress_state == 1;
+  options.progress = flags.progress();
   options.profile = profile;
   if (profile) {
-    options.profile_path = profile_path.empty() ? "profile.json" : profile_path;
+    options.profile_path = flags.profile_out();
     if (!ensure_writable(options.profile_path)) return 2;
   }
   if (!options.json_path.empty() && !ensure_writable(options.json_path)) {
@@ -603,25 +634,17 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  app::ExperimentSpec spec;
+  PlanFlags flags;
+  const app::ExperimentSpec& spec = flags.spec;
   std::string dot_graph;
   std::string json_path;
-  std::string profile_path;
   std::string store_dir;
-  std::vector<std::string> grid_args;
   runner::ShardSpec shard;
-  runner::ShardStrategy shard_strategy = runner::ShardStrategy::kRoundRobin;
   bool list = false;
-  int progress_state = -1;  // -1 auto (tty), 0 off, 1 on
   bool campaign_mode = false;
-  bool profile = false;
   bool embed_profiles = false;
-  bool share_config = false;
-  bool reuse = true;
   int die_after = 0;
-  std::size_t seeds = 1;
   std::size_t jobs = 1;
-  std::uint32_t trial_jobs = 1;
   // "run" is an optional subcommand alias for the default mode, symmetric
   // with "fuzz" and "profile".
   const int first_flag = argc > 1 && std::strcmp(argv[1], "run") == 0 ? 2 : 1;
@@ -634,36 +657,15 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--graph") {
-      spec.graph = value();
-    } else if (arg == "--schedule") {
-      spec.schedule = value();
-    } else if (arg == "--algo") {
-      spec.algorithm = value();
-    } else if (arg == "--delay") {
-      spec.delay = value();
-    } else if (arg == "--seed") {
-      spec.seed = parse_count(arg, value());
-    } else if (arg == "--seeds") {
-      seeds = parse_count(arg, value());
-    } else if (arg == "--jobs") {
+    // --trial-jobs is among the plan flags: intra-trial parallelism applies
+    // to single runs too, so it does not force campaign mode.
+    if (flags.parse(arg, value)) continue;
+    if (arg == "--jobs") {
       jobs = parse_count(arg, value());
       campaign_mode = true;
-    } else if (arg == "--trial-jobs") {
-      // Intra-trial parallelism applies to single runs too, so this flag
-      // does not force campaign mode.
-      trial_jobs = static_cast<std::uint32_t>(parse_count(arg, value()));
     } else if (arg == "--json") {
       json_path = value();
       campaign_mode = true;
-    } else if (arg == "--grid") {
-      grid_args.push_back(value());
-      campaign_mode = true;
-    } else if (arg == "--share-config") {
-      share_config = true;
-      campaign_mode = true;
-    } else if (arg == "--no-reuse") {
-      reuse = false;
     } else if (arg == "--store") {
       store_dir = value();
       campaign_mode = true;
@@ -675,30 +677,10 @@ int main(int argc, char** argv) {
         return 2;
       }
       campaign_mode = true;
-    } else if (arg == "--shard-strategy") {
-      const std::string s = value();
-      if (s == "block") {
-        shard_strategy = runner::ShardStrategy::kBlock;
-      } else if (s == "roundrobin") {
-        shard_strategy = runner::ShardStrategy::kRoundRobin;
-      } else {
-        std::fprintf(stderr,
-                     "error: --shard-strategy expects roundrobin|block\n");
-        return 2;
-      }
     } else if (arg == "--die-after") {
       die_after = static_cast<int>(parse_count(arg, value()));
     } else if (arg == "--embed-profiles") {
       embed_profiles = true;
-    } else if (arg == "--profile") {
-      profile = true;
-    } else if (arg.rfind("--profile=", 0) == 0) {
-      profile = true;
-      profile_path = arg.substr(std::strlen("--profile="));
-    } else if (arg == "--progress") {
-      progress_state = 1;
-    } else if (arg == "--no-progress") {
-      progress_state = 0;
     } else if (arg == "--dot") {
       dot_graph = value();
     } else if (arg == "--list") {
@@ -712,7 +694,9 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (seeds > 1) campaign_mode = true;
+  if (flags.seeds > 1 || !flags.grid_args.empty() || flags.share_config) {
+    campaign_mode = true;
+  }
 
   try {
     if (list) {
@@ -727,30 +711,20 @@ int main(int argc, char** argv) {
       graph::write_dot(std::cout, app::parse_graph_spec(dot_graph, rng));
       return 0;
     }
-    const std::string profile_out =
-        profile_path.empty() ? "profile.json" : profile_path;
+    const bool profile = flags.profile;
+    const std::uint32_t trial_jobs = flags.trial_jobs;
+    const std::string profile_out = flags.profile_out();
     // Fail fast: a doomed output path must kill the run before any trial
     // executes, not after the campaign finishes.
     if (profile && !ensure_writable(profile_out)) return 2;
     if (campaign_mode) {
-      runner::CampaignPlan plan;
-      plan.base = spec;
-      plan.num_seeds = seeds;
-      plan.profile = profile;
-      plan.prepare_mode = share_config ? runner::PrepareMode::kSharedConfig
-                                       : runner::PrepareMode::kPerTrial;
-      plan.reuse = reuse;
-      for (const auto& axis : grid_args) {
-        plan.grid.push_back(runner::parse_grid_axis(axis));
-      }
+      const runner::CampaignPlan plan = flags.plan();
       runner::CampaignOptions options;
       options.jobs = jobs == 0 ? runner::ThreadPool::hardware_threads() : jobs;
       options.trial_jobs = trial_jobs;
-      options.progress = progress_state == -1
-                             ? isatty(fileno(stderr)) != 0
-                             : progress_state == 1;
+      options.progress = flags.progress();
       options.shard = shard;
-      options.shard_strategy = shard_strategy;
+      options.shard_strategy = flags.shard_strategy;
       options.die_after = die_after;
 
       // The store ctor throws a CheckError naming the path when DIR cannot
