@@ -16,8 +16,7 @@
 #include "algo/ranked_dfs.hpp"
 #include "bench_util.hpp"
 #include "graph/generators.hpp"
-#include "sim/async_engine.hpp"
-#include "sim/sync_engine.hpp"
+#include "sim/kernel.hpp"
 
 namespace {
 
@@ -38,9 +37,9 @@ void ablation_rank_discarding() {
     const auto schedule = sim::wake_random_subset(n, 0.25, srng);
     const auto delays = sim::unit_delay();
     const auto with = sim::run_async(inst, *delays, schedule, 3,
-                                     algo::ranked_dfs_factory());
+                                     algo::ranked_dfs_kernel());
     const auto without = sim::run_async(inst, *delays, schedule, 3,
-                                        algo::ranked_dfs_no_discard_factory());
+                                        algo::ranked_dfs_no_discard_kernel());
     table.add_row(
         {bench::fmt_u(n), bench::fmt_u(schedule.wakes.size()),
          bench::fmt_u(with.metrics.messages),
@@ -72,7 +71,7 @@ void ablation_sampling_rate() {
   for (double mult : {0.0, 0.1, 0.5, 1.0, 4.0, 16.0}) {
     algo::FastWakeupProbe probe;
     const auto result = sim::run_sync(
-        inst, schedule, 11, algo::fast_wakeup_factory(&probe, mult * p_star));
+        inst, schedule, 11, algo::fast_wakeup_kernel(&probe, mult * p_star));
     table.add_row({bench::fmt_f(mult, 1), bench::fmt_u(result.wakeup_span()),
                    bench::fmt_u(result.metrics.messages),
                    bench::fmt_u(probe.roots_sampled),
@@ -101,9 +100,9 @@ void ablation_cen_arity() {
     advice::apply_oracle(chain_inst, *advice::child_encoding_oracle(0, 1));
     const auto delays = sim::unit_delay();
     const auto b = sim::run_async(binary_inst, *delays, sim::wake_single(0),
-                                  5, advice::child_encoding_factory());
+                                  5, advice::child_encoding_kernel());
     const auto c = sim::run_async(chain_inst, *delays, sim::wake_single(0), 5,
-                                  advice::child_encoding_factory());
+                                  advice::child_encoding_kernel());
     table.add_row({bench::fmt_u(n), bench::fmt_f(b.metrics.time_units(), 0),
                    bench::fmt_f(c.metrics.time_units(), 0),
                    bench::fmt_f(c.metrics.time_units() /
@@ -140,7 +139,7 @@ void ablation_threshold() {
         advice::apply_oracle(inst, *advice::sqrt_threshold_oracle(0, t));
     const auto delays = sim::unit_delay();
     const auto result = sim::run_async(inst, *delays, sim::wake_all(n), 3,
-                                       advice::sqrt_threshold_factory());
+                                       advice::sqrt_threshold_kernel());
     table.add_row({bench::fmt_f(t, 1), bench::fmt_u(result.metrics.messages),
                    bench::fmt_u(stats.max_bits),
                    bench::fmt_f(stats.avg_bits, 1)});

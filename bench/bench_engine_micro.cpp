@@ -12,9 +12,7 @@
 #include "graph/high_girth.hpp"
 #include "graph/spanner.hpp"
 #include "obs/probe.hpp"
-#include "sim/async_engine.hpp"
 #include "sim/kernel.hpp"
-#include "sim/sync_engine.hpp"
 
 namespace {
 
@@ -27,16 +25,24 @@ sim::Instance make_inst(const graph::Graph& g, sim::Knowledge k) {
   return sim::Instance::create(g, opt, rng);
 }
 
+/// The family's generated Process path: one heap Process per node, virtual
+/// hooks — what the flat-kernel rows are priced against.
+sim::KernelRunner as_processes(const sim::KernelRunner& kernel) {
+  return sim::make_kernel(sim::ProcessAlgorithm{kernel.process_factory()});
+}
+
+/// Flooding on the generated Process path, fresh engine storage per trial.
 void BM_AsyncFloodingEvents(benchmark::State& state) {
   const auto n = static_cast<graph::NodeId>(state.range(0));
   Rng rng(n);
   const auto g = graph::connected_gnp(n, 8.0 / n, rng);
   const auto inst = make_inst(g, sim::Knowledge::KT0);
   const auto delays = sim::unit_delay();
+  const sim::KernelRunner processes = as_processes(algo::flooding_kernel());
   std::uint64_t events = 0;
   for (auto _ : state) {
     const auto result = sim::run_async(inst, *delays, sim::wake_single(0), 1,
-                                       algo::flooding_factory());
+                                       processes);
     events += result.metrics.events;
     benchmark::DoNotOptimize(result.metrics.messages);
   }
@@ -123,11 +129,17 @@ void BM_AsyncFloodingTimeline(benchmark::State& state) {
   const auto g = graph::connected_gnp(n, 8.0 / n, rng);
   const auto inst = make_inst(g, sim::Knowledge::KT0);
   const auto delays = sim::random_delay(16, 5);
+  const auto schedule = sim::wake_single(0);
+  const sim::KernelRunner kernel = algo::flooding_kernel();
+  sim::AsyncKernelArgs args;
+  args.instance = &inst;
+  args.delays = delays.get();
+  args.schedule = &schedule;
+  args.seed = 1;
+  args.queue_mode = mode;
   std::uint64_t events = 0;
   for (auto _ : state) {
-    sim::AsyncEngine engine(inst, *delays, sim::wake_single(0), 1);
-    engine.set_event_queue_mode(mode);
-    const auto result = engine.run(algo::flooding_factory());
+    const auto result = kernel.run_async(args);
     events += result.metrics.events;
     benchmark::DoNotOptimize(result.metrics.messages);
   }
@@ -140,7 +152,8 @@ BENCHMARK(BM_AsyncFloodingTimeline)
     ->ArgNames({"n", "heap"});
 
 /// A flooding clone with zero probe calls — the pre-observability hot path.
-/// Paired with BM_ProbeDisabledFlooding below, it prices the disabled-probe
+/// Paired with BM_ProbeDisabledFlooding below (flooding's generated Process,
+/// so both arms run a heap Process per node), it prices the disabled-probe
 /// branches (Context::probe() + the NodeProbe null checks in the production
 /// algo::flooding) that now sit on every wake. tools/check_probe_overhead.py
 /// gates the pair at <= 2% in CI.
@@ -152,23 +165,29 @@ class ProbeFreeFlooding final : public sim::Process {
   void on_message(sim::Context&, const sim::Incoming&) override {}
 };
 
-sim::ProcessFactory probe_free_flooding_factory() {
-  return [](sim::NodeId) { return std::make_unique<ProbeFreeFlooding>(); };
+sim::KernelRunner probe_free_flooding_kernel() {
+  return sim::make_kernel(sim::ProcessAlgorithm{
+      [](sim::NodeId) { return std::make_unique<ProbeFreeFlooding>(); }});
 }
 
 void probe_overhead_workload(benchmark::State& state,
-                             const sim::ProcessFactory& factory,
+                             const sim::KernelRunner& kernel,
                              obs::Probe* probe) {
   const auto n = static_cast<graph::NodeId>(state.range(0));
   Rng rng(n);
   const auto g = graph::connected_gnp(n, 8.0 / n, rng);
   const auto inst = make_inst(g, sim::Knowledge::KT0);
   const auto delays = sim::unit_delay();
+  const auto schedule = sim::wake_single(0);
+  sim::AsyncKernelArgs args;
+  args.instance = &inst;
+  args.delays = delays.get();
+  args.schedule = &schedule;
+  args.seed = 1;
+  args.probe = probe;
   std::uint64_t events = 0;
   for (auto _ : state) {
-    sim::AsyncEngine engine(inst, *delays, sim::wake_single(0), 1);
-    engine.set_probe(probe);
-    const auto result = engine.run(factory);
+    const auto result = kernel.run_async(args);
     events += result.metrics.events;
     benchmark::DoNotOptimize(result.metrics.messages);
   }
@@ -177,7 +196,7 @@ void probe_overhead_workload(benchmark::State& state,
 }
 
 void BM_ProbeFreeFlooding(benchmark::State& state) {
-  probe_overhead_workload(state, probe_free_flooding_factory(), nullptr);
+  probe_overhead_workload(state, probe_free_flooding_kernel(), nullptr);
 }
 BENCHMARK(BM_ProbeFreeFlooding)->Arg(10000);
 
@@ -185,7 +204,8 @@ void BM_ProbeDisabledFlooding(benchmark::State& state) {
   // Production flooding (probe calls compiled in), no probe attached: every
   // NodeProbe call is one branch on nullptr. This is the default rise_cli
   // path, so the <= 2% gate is the cost every unprofiled run pays.
-  probe_overhead_workload(state, algo::flooding_factory(), nullptr);
+  probe_overhead_workload(state, as_processes(algo::flooding_kernel()),
+                          nullptr);
 }
 BENCHMARK(BM_ProbeDisabledFlooding)->Arg(10000);
 
@@ -193,7 +213,8 @@ void BM_ProbeEnabledFlooding(benchmark::State& state) {
   // Informative (not gated): full attribution — phase marks, counters,
   // per-send accounting, queue statistics.
   obs::Probe probe;
-  probe_overhead_workload(state, algo::flooding_factory(), &probe);
+  probe_overhead_workload(state, as_processes(algo::flooding_kernel()),
+                          &probe);
 }
 BENCHMARK(BM_ProbeEnabledFlooding)->Arg(10000);
 
@@ -204,7 +225,7 @@ void BM_SyncFloodingRounds(benchmark::State& state) {
   const auto inst = make_inst(g, sim::Knowledge::KT0);
   for (auto _ : state) {
     const auto result =
-        sim::run_sync(inst, sim::wake_single(0), 1, algo::flooding_factory());
+        sim::run_sync(inst, sim::wake_single(0), 1, algo::flooding_kernel());
     benchmark::DoNotOptimize(result.metrics.rounds);
   }
 }
@@ -225,11 +246,12 @@ void BM_SyncSleepingRounds(benchmark::State& state) {
   const auto inst = sim::Instance::create(g, opt, irng);
   sim::SyncRunLimits limits;
   limits.sleeping_model = true;
-  const auto factory = matching ? algo::sleeping_matching_factory()
-                                : algo::sleeping_mis_factory();
+  const sim::KernelRunner processes =
+      as_processes(matching ? algo::sleeping_matching_kernel()
+                            : algo::sleeping_mis_kernel());
   for (auto _ : state) {
     const auto result =
-        sim::run_sync(inst, sim::wake_single(0), 1, factory, limits);
+        sim::run_sync(inst, sim::wake_single(0), 1, processes, limits);
     benchmark::DoNotOptimize(result.metrics.sleep_dropped);
   }
 }
@@ -282,7 +304,7 @@ void BM_RankedDfs(benchmark::State& state) {
   const auto delays = sim::unit_delay();
   for (auto _ : state) {
     const auto result = sim::run_async(inst, *delays, sim::wake_all(n), 1,
-                                       algo::ranked_dfs_factory());
+                                       algo::ranked_dfs_kernel());
     benchmark::DoNotOptimize(result.metrics.messages);
   }
 }

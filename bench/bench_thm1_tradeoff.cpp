@@ -19,7 +19,7 @@
 #include "bench_util.hpp"
 #include "lb/beta_probing.hpp"
 #include "lb/nih.hpp"
-#include "sim/async_engine.hpp"
+#include "sim/kernel.hpp"
 #include "support/check.hpp"
 
 namespace {
@@ -40,7 +40,7 @@ runner::TrialFn beta_trial(graph::NodeId n, unsigned beta) {
     report.advice = advice::apply_oracle(inst, *lb::beta_probing_oracle(beta));
     const auto delays = sim::unit_delay();
     report.result = sim::run_async(inst, *delays, fam.centers_awake(),
-                                   spec.seed, lb::beta_probing_factory(beta));
+                                   spec.seed, lb::beta_probing_kernel(beta));
     RISE_CHECK_MSG(lb::nih_correct_count(report.result, inst, fam) == n,
                    "a center mis-identified its crucial neighbor");
     return report;

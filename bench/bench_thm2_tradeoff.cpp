@@ -19,7 +19,7 @@
 #include "lb/lower_bound_graphs.hpp"
 #include "lb/nih.hpp"
 #include "lb/time_restricted.hpp"
-#include "sim/async_engine.hpp"
+#include "sim/kernel.hpp"
 #include "support/check.hpp"
 
 namespace {
@@ -40,7 +40,7 @@ runner::TrialFn bcast_trial(unsigned k, std::uint64_t q) {
     const auto delays = sim::unit_delay();
     report.result = sim::run_async(
         inst, *delays, fam.family.centers_awake(), spec.seed,
-        lb::nih_reduction_factory(lb::centers_broadcast_factory()));
+        lb::nih_reduction_kernel(lb::centers_broadcast_kernel()));
     RISE_CHECK_MSG(
         lb::nih_correct_count(report.result, inst, fam.family) == fam.family.n,
         "a center mis-identified its crucial neighbor");
@@ -92,9 +92,9 @@ void crossover(unsigned k, std::uint64_t q) {
   const auto inst = lb::make_kt1_instance(fam.family, rng);
   const auto delays = sim::unit_delay();
   const auto bcast = sim::run_async(inst, *delays, fam.family.centers_awake(),
-                                    3, lb::centers_broadcast_factory());
+                                    3, lb::centers_broadcast_kernel());
   const auto dfs = sim::run_async(inst, *delays, fam.family.centers_awake(),
-                                  3, algo::ranked_dfs_factory());
+                                  3, algo::ranked_dfs_kernel());
   std::printf(
       "\ncrossover on G_%u (q=%llu, n=%u): broadcast = %llu msgs in %.0f "
       "time units; RankedDFS = %llu msgs in %.0f time units.\n",

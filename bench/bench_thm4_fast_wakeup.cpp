@@ -15,7 +15,7 @@
 #include "algo/flooding.hpp"
 #include "bench_util.hpp"
 #include "graph/generators.hpp"
-#include "sim/sync_engine.hpp"
+#include "sim/kernel.hpp"
 
 namespace {
 
@@ -44,7 +44,7 @@ void n_sweep() {
     const auto inst = kt1_instance(g, n + 5);
     const auto schedule = sim::dominating_set_wakeup(g);
     const auto result =
-        sim::run_sync(inst, schedule, n, algo::fast_wakeup_factory());
+        sim::run_sync(inst, schedule, n, algo::fast_wakeup_kernel());
     const double envelope = std::pow(static_cast<double>(n), 1.5) *
                             std::sqrt(std::log(static_cast<double>(n)));
     table.add_row(
@@ -85,7 +85,7 @@ void rho_sweep() {
   for (const auto& schedule : schedules) {
     const auto rho = sim::schedule_awake_distance(g, schedule);
     const auto result =
-        sim::run_sync(inst, schedule, 9, algo::fast_wakeup_factory());
+        sim::run_sync(inst, schedule, 9, algo::fast_wakeup_kernel());
     table.add_row({bench::fmt_u(rho), bench::fmt_u(result.wakeup_span()),
                    bench::fmt_f(static_cast<double>(result.wakeup_span()) /
                                     static_cast<double>(rho),

@@ -16,7 +16,7 @@
 #include "bench_util.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
-#include "sim/async_engine.hpp"
+#include "sim/kernel.hpp"
 
 namespace {
 
@@ -43,7 +43,7 @@ Row measure(const graph::Graph& g, const advice::AdvisingScheme& scheme,
   const auto delays = sim::unit_delay();
   const auto result =
       sim::run_async(inst, *delays, schedule, seed,
-                     scheme.algorithm.process_factory());
+                     scheme.algorithm);
   return {name, result.metrics.time_units(), result.metrics.messages,
           stats.max_bits, stats.avg_bits};
 }

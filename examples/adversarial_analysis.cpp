@@ -18,7 +18,7 @@
 #include "lb/lower_bound_graphs.hpp"
 #include "lb/nih.hpp"
 #include "lb/time_restricted.hpp"
-#include "sim/async_engine.hpp"
+#include "sim/kernel.hpp"
 
 int main() {
   using namespace rise;
@@ -41,7 +41,7 @@ int main() {
     advice::apply_oracle(advised, *lb::beta_probing_oracle(beta));
     const auto delays = sim::unit_delay();
     const auto result = sim::run_async(advised, *delays, fam.centers_awake(),
-                                       beta, lb::beta_probing_factory(beta));
+                                       beta, lb::beta_probing_kernel(beta));
     const double n = fam.n;
     std::printf("%8u %14llu %20.0f\n", beta,
                 static_cast<unsigned long long>(result.metrics.messages),
@@ -58,10 +58,10 @@ int main() {
   const auto delays = sim::unit_delay();
   const auto fast = sim::run_async(kt1_inst, *delays,
                                    kt1.family.centers_awake(), 3,
-                                   lb::centers_broadcast_factory());
+                                   lb::centers_broadcast_kernel());
   const auto slow = sim::run_async(kt1_inst, *delays,
                                    kt1.family.centers_awake(), 3,
-                                   algo::ranked_dfs_factory());
+                                   algo::ranked_dfs_kernel());
   std::printf(
       "1-time-unit broadcast : %6llu msgs, %6.0f time units  (the "
       "n^{1+1/k} lower bound is unavoidable here)\n",

@@ -13,7 +13,6 @@
 
 #include "sim/instance.hpp"
 #include "sim/kernel.hpp"
-#include "sim/process.hpp"
 
 namespace rise::advice {
 
@@ -30,8 +29,8 @@ sim::Instance::AdviceStats apply_oracle(sim::Instance& instance,
                                         const AdvisingOracle& oracle);
 
 /// An oracle + algorithm pair. `algorithm` is the family's one handle
-/// (sim/kernel.hpp): it runs the flat kernel under either engine, and
-/// algorithm.process_factory() yields the same algorithm as Processes.
+/// (sim/kernel.hpp), run as sim::run_async(..., scheme.algorithm) or
+/// through KernelRunner::run_async / run_sync.
 struct AdvisingScheme {
   std::unique_ptr<AdvisingOracle> oracle;
   sim::KernelRunner algorithm;

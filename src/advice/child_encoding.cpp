@@ -182,10 +182,6 @@ std::unique_ptr<AdvisingOracle> child_encoding_oracle(graph::NodeId root,
   return std::make_unique<ChildEncodingOracle>(root, arity);
 }
 
-sim::ProcessFactory child_encoding_factory() {
-  return sim::process_factory(ChildEncoding{});
-}
-
 sim::KernelRunner child_encoding_kernel() {
   return sim::make_kernel(ChildEncoding{});
 }

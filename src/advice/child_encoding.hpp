@@ -40,7 +40,6 @@ inline constexpr std::uint32_t kCenWakeParent = 0x0CE3;
 /// (bench_ablations quantifies the gap).
 std::unique_ptr<AdvisingOracle> child_encoding_oracle(graph::NodeId root = 0,
                                                       unsigned arity = 2);
-sim::ProcessFactory child_encoding_factory();
 sim::KernelRunner child_encoding_kernel();
 AdvisingScheme child_encoding_scheme(graph::NodeId root = 0);
 

@@ -120,8 +120,6 @@ std::unique_ptr<AdvisingOracle> fip06_oracle(graph::NodeId root) {
   return std::make_unique<Fip06Oracle>(root);
 }
 
-sim::ProcessFactory fip06_factory() { return sim::process_factory(Fip06{}); }
-
 sim::KernelRunner fip06_kernel() { return sim::make_kernel(Fip06{}); }
 
 AdvisingScheme fip06_scheme(graph::NodeId root) {

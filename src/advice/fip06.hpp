@@ -22,7 +22,6 @@ namespace rise::advice {
 inline constexpr std::uint32_t kTreeWake = 0x0AD1;
 
 std::unique_ptr<AdvisingOracle> fip06_oracle(graph::NodeId root = 0);
-sim::ProcessFactory fip06_factory();
 sim::KernelRunner fip06_kernel();
 AdvisingScheme fip06_scheme(graph::NodeId root = 0);
 

@@ -183,10 +183,6 @@ std::unique_ptr<AdvisingOracle> spanner_oracle(unsigned k) {
   return std::make_unique<SpannerOracle>(k);
 }
 
-sim::ProcessFactory spanner_factory() {
-  return sim::process_factory(SpannerWake{});
-}
-
 sim::KernelRunner spanner_kernel() { return sim::make_kernel(SpannerWake{}); }
 
 AdvisingScheme spanner_scheme(unsigned k) {

@@ -30,8 +30,6 @@ inline constexpr std::uint32_t kSpNext = 0x05A2;
 /// k >= 1: stretch parameter of the greedy (2k-1)-spanner.
 std::unique_ptr<AdvisingOracle> spanner_oracle(unsigned k);
 
-sim::ProcessFactory spanner_factory();
-
 sim::KernelRunner spanner_kernel();
 
 AdvisingScheme spanner_scheme(unsigned k);

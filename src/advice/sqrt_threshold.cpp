@@ -95,10 +95,6 @@ std::unique_ptr<AdvisingOracle> sqrt_threshold_oracle(graph::NodeId root,
   return std::make_unique<SqrtThresholdOracle>(root, threshold);
 }
 
-sim::ProcessFactory sqrt_threshold_factory() {
-  return sim::process_factory(SqrtThreshold{});
-}
-
 sim::KernelRunner sqrt_threshold_kernel() {
   return sim::make_kernel(SqrtThreshold{});
 }

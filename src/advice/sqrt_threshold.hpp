@@ -23,7 +23,6 @@ namespace rise::advice {
 /// bound.
 std::unique_ptr<AdvisingOracle> sqrt_threshold_oracle(graph::NodeId root = 0,
                                                       double threshold = 0.0);
-sim::ProcessFactory sqrt_threshold_factory();
 sim::KernelRunner sqrt_threshold_kernel();
 AdvisingScheme sqrt_threshold_scheme(graph::NodeId root = 0);
 

@@ -399,11 +399,6 @@ struct FastWakeup {
 
 }  // namespace
 
-sim::ProcessFactory fast_wakeup_factory(FastWakeupProbe* probe,
-                                        double root_probability) {
-  return sim::process_factory(FastWakeup{probe, root_probability});
-}
-
 sim::KernelRunner fast_wakeup_kernel(FastWakeupProbe* probe,
                                      double root_probability) {
   return sim::make_kernel(FastWakeup{probe, root_probability});

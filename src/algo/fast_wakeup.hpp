@@ -22,7 +22,6 @@
 #pragma once
 
 #include "sim/kernel.hpp"
-#include "sim/process.hpp"
 
 namespace rise::algo {
 
@@ -47,10 +46,7 @@ struct FastWakeupProbe {
 
 /// `root_probability` overrides the sampling probability when >= 0 (tests);
 /// the default -1 uses sqrt(log n / n) with n taken from the ID-range bound.
-sim::ProcessFactory fast_wakeup_factory(FastWakeupProbe* probe = nullptr,
-                                        double root_probability = -1.0);
-
-/// Flat-kernel counterpart, bit-identical to the factory (sync engine only).
+/// Synchronous engine only.
 sim::KernelRunner fast_wakeup_kernel(FastWakeupProbe* probe = nullptr,
                                      double root_probability = -1.0);
 

@@ -26,10 +26,6 @@ struct Flooding {
 
 }  // namespace
 
-sim::ProcessFactory flooding_factory() {
-  return sim::process_factory(Flooding{});
-}
-
 sim::KernelRunner flooding_kernel() { return sim::make_kernel(Flooding{}); }
 
 }  // namespace rise::algo

@@ -9,17 +9,13 @@
 #pragma once
 
 #include "sim/kernel.hpp"
-#include "sim/process.hpp"
 
 namespace rise::algo {
 
 /// Message type tag used by flooding wake-up messages.
 inline constexpr std::uint32_t kFloodWake = 0x0F10;
 
-sim::ProcessFactory flooding_factory();
-
-/// The flooding handle (sim/kernel.hpp): its flat kernel is bit-identical
-/// to the factory (test_sim_kernels) and allocation-free in steady state —
+/// The flooding handle (sim/kernel.hpp): allocation-free in steady state —
 /// the million-node fast path.
 sim::KernelRunner flooding_kernel();
 

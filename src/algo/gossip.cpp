@@ -30,10 +30,6 @@ struct PushGossip {
 
 }  // namespace
 
-sim::ProcessFactory push_gossip_factory(std::uint64_t round_budget) {
-  return sim::process_factory(PushGossip{round_budget});
-}
-
 sim::KernelRunner push_gossip_kernel(std::uint64_t round_budget) {
   return sim::make_kernel(PushGossip{round_budget});
 }

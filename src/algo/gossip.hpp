@@ -13,15 +13,11 @@
 #pragma once
 
 #include "sim/kernel.hpp"
-#include "sim/process.hpp"
 
 namespace rise::algo {
 
 inline constexpr std::uint32_t kGossipPush = 0x0609;
 
-sim::ProcessFactory push_gossip_factory(std::uint64_t round_budget);
-
-/// Flat-kernel push gossip, bit-identical to the factory.
 sim::KernelRunner push_gossip_kernel(std::uint64_t round_budget);
 
 }  // namespace rise::algo

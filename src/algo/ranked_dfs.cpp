@@ -277,24 +277,6 @@ RankedDfs configure(RankedDfsProbe* probe, unsigned rank_bits,
 
 }  // namespace
 
-sim::ProcessFactory ranked_dfs_factory(RankedDfsProbe* probe,
-                                       unsigned rank_bits) {
-  return sim::process_factory(
-      configure(probe, rank_bits, /*discard_losers=*/true, /*elect=*/false));
-}
-
-sim::ProcessFactory ranked_dfs_leader_factory(RankedDfsProbe* probe,
-                                              unsigned rank_bits) {
-  return sim::process_factory(
-      configure(probe, rank_bits, /*discard_losers=*/true, /*elect=*/true));
-}
-
-sim::ProcessFactory ranked_dfs_no_discard_factory(RankedDfsProbe* probe,
-                                                  unsigned rank_bits) {
-  return sim::process_factory(
-      configure(probe, rank_bits, /*discard_losers=*/false, /*elect=*/false));
-}
-
 sim::KernelRunner ranked_dfs_kernel(RankedDfsProbe* probe,
                                     unsigned rank_bits) {
   return sim::make_kernel(

@@ -112,11 +112,6 @@ struct RankedDfsCongest {
 
 }  // namespace
 
-sim::ProcessFactory ranked_dfs_congest_factory(unsigned rank_bits) {
-  RISE_CHECK(rank_bits >= 8 && rank_bits <= 62);
-  return sim::process_factory(RankedDfsCongest{rank_bits});
-}
-
 sim::KernelRunner ranked_dfs_congest_kernel(unsigned rank_bits) {
   RISE_CHECK(rank_bits >= 8 && rank_bits <= 62);
   return sim::make_kernel(RankedDfsCongest{rank_bits});

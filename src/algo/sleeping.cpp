@@ -328,16 +328,8 @@ struct SleepingMatching {
 
 }  // namespace
 
-sim::ProcessFactory sleeping_mis_factory() {
-  return sim::process_factory(SleepingMis{});
-}
-
 sim::KernelRunner sleeping_mis_kernel() {
   return sim::make_kernel(SleepingMis{});
-}
-
-sim::ProcessFactory sleeping_matching_factory() {
-  return sim::process_factory(SleepingMatching{});
 }
 
 sim::KernelRunner sleeping_matching_kernel() {

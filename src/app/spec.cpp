@@ -20,9 +20,7 @@
 #include "lb/lower_bound_graphs.hpp"
 #include "lb/time_restricted.hpp"
 #include "runner/campaign.hpp"
-#include "sim/async_engine.hpp"
 #include "sim/kernel.hpp"
-#include "sim/sync_engine.hpp"
 #include "support/check.hpp"
 
 namespace rise::app {
@@ -473,19 +471,8 @@ ExperimentReport execute_prepared(const PreparedExperiment& prepared,
     report.rho_awk = sim::schedule_awake_distance(g, schedule);
   }
 
-  // The flat kernel is the default. use_virtual_processes runs the family's
-  // generated Processes through the same engine handler (ProcessAlgorithm);
-  // it is bit-identical (test_sim_kernels), so the choice never changes a
-  // result — only the per-trial allocation profile.
   RISE_CHECK_MSG(static_cast<bool>(prepared.kernel),
                  "prepared experiment has no algorithm handle");
-  const sim::KernelRunner processes =
-      instruments.use_virtual_processes
-          ? sim::make_kernel(
-                sim::ProcessAlgorithm{prepared.kernel.process_factory()})
-          : sim::KernelRunner{};
-  const sim::KernelRunner& runner =
-      instruments.use_virtual_processes ? processes : prepared.kernel;
   const bool synchronous =
       prepared.synchronous || instruments.force_sync_engine;
   if (synchronous) {
@@ -513,7 +500,7 @@ ExperimentReport execute_prepared(const PreparedExperiment& prepared,
                                    : &serial_executor;
     }
     obs::PhaseTimer timer(probe, "engine.run");
-    report.result = runner.run_sync(args);
+    report.result = prepared.kernel.run_sync(args);
     timer.set_sim_span(report.result.metrics.rounds);
   } else {
     std::unique_ptr<sim::DelayPolicy> parsed;
@@ -535,7 +522,7 @@ ExperimentReport execute_prepared(const PreparedExperiment& prepared,
     args.queue_mode = instruments.queue_mode;
     args.workspace = workspace;
     obs::PhaseTimer timer(probe, "engine.run");
-    report.result = runner.run_async(args);
+    report.result = prepared.kernel.run_async(args);
     timer.set_sim_span(std::max(report.result.metrics.last_delivery,
                                 report.result.metrics.last_wake));
   }

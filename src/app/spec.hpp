@@ -122,12 +122,6 @@ struct RunInstruments {
   /// The fuzzer's unit-delay differential uses this.
   bool force_sync_engine = false;
 
-  /// Run the family's generated heap-allocated Process per node instead of
-  /// its flat kernel (sim/kernel.hpp). Both come from one definition and are
-  /// bit-identical (test_sim_kernels) — this exists for differential tests
-  /// and A/B benchmarks, not because results differ.
-  bool use_virtual_processes = false;
-
   /// Intra-trial parallelism for *synchronous* runs: each stepped round is
   /// split into this many chunks executed on `trial_executor`. Results are
   /// bit-identical to trial_jobs == 1 for any value (the engine reduces all
@@ -168,8 +162,9 @@ struct PreparedExperiment {
   std::string algorithm;  ///< canonical name from AlgorithmSetup
   bool synchronous = false;
   bool sleeping = false;  ///< sleeping-model family (see AlgorithmSetup)
-  /// The family handle: execute_prepared runs its flat kernel, or its
-  /// generated Processes under RunInstruments::use_virtual_processes.
+  /// The family handle execute_prepared runs. A kernel-vs-Process
+  /// differential replaces it on its own copy with
+  /// make_kernel(ProcessAlgorithm{kernel.process_factory()}).
   sim::KernelRunner kernel;
   sim::Instance::AdviceStats advice;
 };

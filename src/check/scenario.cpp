@@ -189,6 +189,22 @@ const std::vector<std::string>& scenario_families() {
   return kFamilies;
 }
 
+std::string scenario_family_of(const std::string& algorithm) {
+  const std::string head = algorithm.substr(0, algorithm.find(':'));
+  if (head == "flooding" || head == "ttl") return "flooding";
+  if (head == "ranked_dfs" || head == "ranked_dfs_nodiscard" ||
+      head == "ranked_dfs_congest" || head == "leader") {
+    return "ranked_dfs";
+  }
+  if (head == "fast_wakeup" || head == "gossip") return head;
+  if (head == "smis" || head == "smatching") return "sleeping";
+  if (head == "fip06" || head == "sqrt" || head == "cen" ||
+      head == "cen_chain" || head == "spanner" || head == "cor2") {
+    return "advice";
+  }
+  return "";
+}
+
 Scenario sample_scenario(std::uint64_t campaign_seed, std::uint64_t index,
                          const GeneratorOptions& options) {
   RISE_CHECK(options.max_nodes >= 8);
@@ -214,8 +230,8 @@ Scenario sample_scenario(std::uint64_t campaign_seed, std::uint64_t index,
       sample_graph(rng, options.max_nodes, /*require_connected=*/s.family == "advice");
   s.spec.schedule = sample_schedule(rng, options.max_tau);
   s.spec.algorithm = sample_algorithm(rng, s.family);
-  const bool synchronous = s.family == "fast_wakeup" ||
-                           s.family == "gossip" || s.family == "sleeping";
+  const bool synchronous =
+      app::parse_algorithm_spec(s.spec.algorithm).synchronous;
   s.spec.delay = synchronous ? "unit" : sample_delay(rng, options.max_tau);
   s.spec.seed = rng();
   return s;
@@ -275,7 +291,6 @@ CheckedRun run_checked(const Scenario& s, const RunVariant& variant) {
   instruments.queue_mode = variant.queue_mode;
   instruments.force_sync_engine = variant.force_sync_engine;
   instruments.trial_jobs = variant.trial_jobs;
-  instruments.use_virtual_processes = variant.virtual_processes;
 
   sim::Time declared_tau = 1;  // overwritten below for async runs
   if (variant.fault == FaultKind::kLateDelivery && !variant.force_sync_engine) {
@@ -312,7 +327,14 @@ CheckedRun run_checked(const Scenario& s, const RunVariant& variant) {
   };
 
   try {
-    out.report = app::run_experiment(s.spec, instruments);
+    // run_experiment's two calls, with the family handle swapped for its
+    // generated Processes when the variant asks for them.
+    app::PreparedExperiment prepared = app::prepare_experiment(s.spec);
+    if (variant.virtual_processes) {
+      prepared.kernel = sim::make_kernel(
+          sim::ProcessAlgorithm{prepared.kernel.process_factory()});
+    }
+    out.report = app::execute_prepared(prepared, s.spec, instruments);
     out.violations = checker.finish(out.report.result);
     out.digest = digest_run(out.report.result);
   } catch (const std::exception& e) {

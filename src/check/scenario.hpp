@@ -46,6 +46,11 @@ struct Scenario {
 /// advising schemes).
 const std::vector<std::string>& scenario_families();
 
+/// The scenario family whose sampler emits `algorithm` (an --algo spec);
+/// empty for an algorithm no family samples. sample_scenario's
+/// s.family == scenario_family_of(s.spec.algorithm) for every scenario.
+std::string scenario_family_of(const std::string& algorithm);
+
 struct GeneratorOptions {
   sim::NodeId max_nodes = 96;  ///< >= 8
   sim::Time max_tau = 12;      ///< >= 1
@@ -71,7 +76,9 @@ struct RunVariant {
   /// threadless). Must digest-match trial_jobs == 1; ignored by async runs.
   std::uint32_t trial_jobs = 1;
   /// Run the family's generated Process per node instead of its flat
-  /// kernel (RunInstruments::use_virtual_processes). Must digest-match.
+  /// kernel: run_checked replaces the prepared handle with
+  /// make_kernel(ProcessAlgorithm{kernel.process_factory()}). Must
+  /// digest-match.
   bool virtual_processes = false;
 };
 

@@ -104,10 +104,6 @@ std::unique_ptr<advice::AdvisingOracle> beta_probing_oracle(unsigned beta) {
   return std::make_unique<BetaProbingOracle>(beta);
 }
 
-sim::ProcessFactory beta_probing_factory(unsigned beta) {
-  return sim::process_factory(BetaProbing{beta});
-}
-
 sim::KernelRunner beta_probing_kernel(unsigned beta) {
   return sim::make_kernel(BetaProbing{beta});
 }

@@ -63,10 +63,11 @@ class NihWrapper final : public sim::Process {
 
 }  // namespace
 
-sim::ProcessFactory nih_reduction_factory(sim::ProcessFactory inner) {
-  return [inner = std::move(inner)](sim::NodeId node) {
-    return std::make_unique<NihWrapper>(inner(node));
-  };
+sim::KernelRunner nih_reduction_kernel(const sim::KernelRunner& inner) {
+  return sim::make_kernel(sim::ProcessAlgorithm{
+      [inner = inner.process_factory()](sim::NodeId node) {
+        return std::make_unique<NihWrapper>(inner(node));
+      }});
 }
 
 std::vector<std::uint64_t> nih_expected_outputs(

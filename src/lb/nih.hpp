@@ -8,20 +8,21 @@
 // W nodes in both families) answers its first incoming message with a
 // special response, from which the center reads off the port/ID.
 //
-// nih_reduction_factory wraps an arbitrary wake-up ProcessFactory in exactly
-// that transformation, making the reduction itself a tested artifact.
+// nih_reduction_kernel wraps an arbitrary wake-up family in exactly that
+// transformation, making the reduction itself a tested artifact.
 #pragma once
 
 #include "lb/lower_bound_graphs.hpp"
+#include "sim/kernel.hpp"
 #include "sim/metrics.hpp"
-#include "sim/process.hpp"
 
 namespace rise::lb {
 
 inline constexpr std::uint32_t kNihResponse = 0x017E;
 
-/// Lemma 1: wrap a wake-up algorithm into an NIH solver.
-sim::ProcessFactory nih_reduction_factory(sim::ProcessFactory inner);
+/// Lemma 1: wrap a wake-up algorithm into an NIH solver. Each node runs the
+/// inner family's Process (inner.process_factory()) behind the wrapper.
+sim::KernelRunner nih_reduction_kernel(const sim::KernelRunner& inner);
 
 /// Expected NIH outputs for every center (port of w_i under KT0, ID of w_i
 /// under KT1); indexed by center index i in [0, n).

@@ -7,10 +7,10 @@ namespace rise::lb {
 TraceResult run_and_trace_sync(const sim::Instance& instance,
                                const sim::WakeSchedule& schedule,
                                std::uint64_t seed,
-                               const sim::ProcessFactory& factory) {
+                               const sim::KernelRunner& kernel) {
   sim::EdgeUsageSink sink;
   TraceResult trace;
-  trace.run = sim::run_sync(instance, schedule, seed, factory, {}, &sink);
+  trace.run = sim::run_sync(instance, schedule, seed, kernel, {}, &sink);
   trace.used_edges = sink.used_edges();
   return trace;
 }

@@ -18,8 +18,7 @@
 #include <set>
 #include <utility>
 
-#include "sim/async_engine.hpp"
-#include "sim/sync_engine.hpp"
+#include "sim/kernel.hpp"
 
 namespace rise::lb {
 
@@ -34,11 +33,11 @@ struct TraceResult {
   }
 };
 
-/// Runs the factory under the synchronous engine, recording edge usage.
+/// Runs the family under the synchronous engine, recording edge usage.
 TraceResult run_and_trace_sync(const sim::Instance& instance,
                                const sim::WakeSchedule& schedule,
                                std::uint64_t seed,
-                               const sim::ProcessFactory& factory);
+                               const sim::KernelRunner& kernel);
 
 /// A copy of `instance` with the labels of nodes a and b swapped (all other
 /// adversary choices identical) — the configuration swap of Lemma 5.

@@ -38,11 +38,7 @@ struct TtlFlood {
 
 }  // namespace
 
-sim::ProcessFactory centers_broadcast_factory() { return ttl_flood_factory(1); }
-
-sim::ProcessFactory ttl_flood_factory(std::uint32_t ttl) {
-  return sim::process_factory(TtlFlood{ttl});
-}
+sim::KernelRunner centers_broadcast_kernel() { return ttl_flood_kernel(1); }
 
 sim::KernelRunner ttl_flood_kernel(std::uint32_t ttl) {
   return sim::make_kernel(TtlFlood{ttl});

@@ -11,7 +11,6 @@
 #pragma once
 
 #include "sim/kernel.hpp"
-#include "sim/process.hpp"
 
 namespace rise::lb {
 
@@ -19,11 +18,10 @@ inline constexpr std::uint32_t kTimedWake = 0x07F1;
 
 /// Adversary-woken nodes broadcast once; everyone else stays silent. A
 /// 1-time-unit wake-up algorithm whenever the awake set is dominating.
-sim::ProcessFactory centers_broadcast_factory();
+sim::KernelRunner centers_broadcast_kernel();
 
 /// Flooding with a TTL: adversary-woken nodes send TTL = ttl; receivers
 /// rebroadcast with TTL-1 while positive. ttl = 1 equals centers_broadcast.
-sim::ProcessFactory ttl_flood_factory(std::uint32_t ttl);
 sim::KernelRunner ttl_flood_kernel(std::uint32_t ttl);
 
 }  // namespace rise::lb

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <utility>
 
@@ -396,7 +394,7 @@ CampaignResult run_campaign(const CampaignPlan& plan,
   {
     ProgressReporter progress(trials.size(), options.progress);
     // trial_jobs > 1: the pool carries jobs x trial_jobs threads so every
-    // concurrently-running trial can fan its rounds out, and an admission
+    // concurrently-running trial can fan its rounds out, and the admission
     // gate caps concurrent trials at `jobs` — the spare threads serve
     // round chunks (ThreadPool::run_chunks) instead of extra trials. With
     // trial_jobs == 1 this is exactly the historical pool.
@@ -408,32 +406,16 @@ CampaignResult run_campaign(const CampaignPlan& plan,
       policy.trial_jobs = trial_jobs;
       policy.trial_executor = &executor;
     }
-    std::mutex admit_mu;
-    std::condition_variable admit_cv;
-    std::size_t running = 0;
-    const bool gate = trial_jobs > 1;
+    AdmissionGate gate(pool, trial_jobs > 1 ? result.jobs : 0);
     for (std::size_t i = 0; i < trials.size(); ++i) {
-      if (gate) {
-        std::unique_lock<std::mutex> lock(admit_mu);
-        admit_cv.wait(lock, [&] { return running < result.jobs; });
-        ++running;
-      }
       // &trials[i] and &result.trials[i] stay valid: neither vector is
       // resized while the pool runs, and each slot is written by exactly
       // one task.
       const Trial* trial = &trials[i];
       TrialResult* slot = &result.trials[i];
-      pool.submit([trial, slot, &plan, &policy, &progress, profile, &sc,
-                   &admit_mu, &admit_cv, &running, gate] {
+      gate.submit([trial, slot, &plan, &policy, &progress, profile, &sc] {
         *slot = execute_or_fetch(*trial, plan.run, profile, policy, sc);
         progress.tick();
-        if (gate) {
-          {
-            std::lock_guard<std::mutex> lock(admit_mu);
-            --running;
-          }
-          admit_cv.notify_one();
-        }
       });
     }
     pool.wait_idle();

@@ -1,6 +1,7 @@
 #include "runner/thread_pool.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/check.hpp"
 
@@ -194,6 +195,26 @@ void ThreadPool::shutdown() {
   for (auto& t : threads_) {
     if (t.joinable()) t.join();
   }
+}
+
+void AdmissionGate::submit(ThreadPool::Task task) {
+  if (limit_ == 0) {
+    pool_.submit(std::move(task));
+    return;
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return running_ < limit_; });
+    ++running_;
+  }
+  pool_.submit([this, task = std::move(task)] {
+    task();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      --running_;
+    }
+    cv_.notify_one();
+  });
 }
 
 }  // namespace rise::runner

@@ -117,6 +117,28 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
+/// Caps how many tasks submitted through it run (or wait queued) at once.
+/// Campaign and hunt drivers size their pool at jobs x trial_jobs so every
+/// running trial can fan its rounds out (ThreadPool::run_chunks); the gate
+/// admits at most `limit` trials, leaving the spare threads to serve round
+/// chunks. submit() blocks the caller until a slot frees; call it from
+/// outside the pool and wait_idle() the pool before the gate goes away.
+/// limit == 0 means no cap (a plain pool.submit).
+class AdmissionGate {
+ public:
+  AdmissionGate(ThreadPool& pool, std::size_t limit)
+      : pool_(pool), limit_(limit) {}
+
+  void submit(ThreadPool::Task task);
+
+ private:
+  ThreadPool& pool_;
+  std::size_t limit_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t running_ = 0;  ///< admitted tasks not yet finished; under mu_
+};
+
 /// Adapts the pool to the engine's executor interface (sim/parallel.hpp)
 /// so a synchronous run can step round chunks on campaign workers. With a
 /// null pool it degrades to an inline loop (same results — the engine's

@@ -105,8 +105,9 @@ HuntReport run_hunt(const HuntOptions& options) {
                      << options.algorithm << "' (expected ea|anneal)");
 
   // The pool carries candidate-level AND round-level workers: trial_jobs
-  // round chunks per in-flight evaluation. Resolve jobs before multiplying
-  // (0 = all hardware threads).
+  // round chunks per in-flight evaluation, with the admission gate keeping
+  // at most `jobs` evaluations in flight (as run_campaign does). Resolve
+  // jobs before multiplying (0 = all hardware threads).
   const std::uint32_t trial_jobs =
       std::max<std::uint32_t>(1, options.trial_jobs);
   const std::size_t jobs = options.jobs == 0
@@ -114,6 +115,7 @@ HuntReport run_hunt(const HuntOptions& options) {
                                : options.jobs;
   runner::ThreadPool pool(jobs * trial_jobs);
   runner::PoolChunkExecutor executor(&pool);
+  runner::AdmissionGate gate(pool, trial_jobs > 1 ? jobs : 0);
   EvalParallel parallel;
   if (trial_jobs > 1) {
     parallel.trial_jobs = trial_jobs;
@@ -157,7 +159,7 @@ HuntReport run_hunt(const HuntOptions& options) {
 
     std::vector<EvalResult> slots(batch);
     for (std::size_t i = 0; i < batch; ++i) {
-      pool.submit([&slots, &candidates, &cache, &options, &parallel, i] {
+      gate.submit([&slots, &candidates, &cache, &options, &parallel, i] {
         slots[i] = evaluate(candidates[i], options.objective, cache, parallel);
       });
     }
@@ -220,7 +222,7 @@ HuntReport run_hunt(const HuntOptions& options) {
     }
     std::vector<EvalResult> slots(genomes.size());
     for (std::size_t i = 0; i < genomes.size(); ++i) {
-      pool.submit([&slots, &genomes, &cache, &options, &parallel, i] {
+      gate.submit([&slots, &genomes, &cache, &options, &parallel, i] {
         slots[i] = evaluate(genomes[i], options.objective, cache, parallel);
       });
       if (i % kCacheCap == 0 && cache.size() > kCacheCap) {

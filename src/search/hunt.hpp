@@ -46,7 +46,8 @@ struct HuntOptions {
   std::uint64_t seed = 1;
   std::size_t jobs = 1;  ///< worker threads; 0 = all hardware threads
   /// Intra-trial round parallelism for synchronous evaluations (see
-  /// CampaignOptions::trial_jobs). The pool is sized jobs x trial_jobs;
+  /// CampaignOptions::trial_jobs). The pool is sized jobs x trial_jobs and
+  /// admits at most `jobs` evaluations at once (runner::AdmissionGate);
   /// objective values are bit-identical for any setting.
   std::uint32_t trial_jobs = 1;
   bool baseline = true;  ///< run the equal-budget uniform-random control

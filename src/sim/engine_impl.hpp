@@ -1,19 +1,52 @@
 // The engines' event loops, written once.
 //
-// AsyncRunner and SyncRunner hold the asynchronous and synchronous loops,
-// templated on a Handler with
+// Asynchronous model (Sec. 1.1–1.2 of the paper):
+//   * Channels are error-free, bidirectional and FIFO; the engine clamps
+//     per-directed-channel delivery times to be monotone so FIFO holds for
+//     any delay policy.
+//   * Message delays are chosen by an oblivious DelayPolicy with maximum
+//     delay tau; one time unit = tau ticks.
+//   * The adversary wakes nodes per a WakeSchedule; a message delivered to a
+//     sleeping node wakes it and is processed upon awakening.
+//   * Local computation is instantaneous: a callback may send any number of
+//     messages at the current tick.
+//
+// Synchronous model (Sec. 3.2): computation proceeds in rounds; every
+// message sent in round r is delivered at the start of round r+1. The
+// adversary wakes nodes at round boundaries (wake times are round numbers);
+// a message delivered to a sleeping node wakes it. Nodes have NO global
+// clock — a process only sees its local round counter (rounds since its own
+// wake-up), per footnote 4. A node is stepped (on_round) in a round iff it
+// has a non-empty inbox, it just woke up, or it called
+// Context::request_tick() in the previous round; quiescence (no inbox, no
+// pending wakes, no tick requests) terminates the run, which keeps
+// simulated complexity proportional to actual activity.
+//
+// Sleeping model (SyncRunLimits::sleeping_model): nodes may additionally
+// declare themselves asleep with Context::sleep_until(r) — they are not
+// stepped again before round r, pay no awake cost, and messages arriving
+// during the nap are dropped. This mode deliberately grants nodes the
+// synchronized global clock the sleeping-model literature assumes
+// (Context::now() as a round number), a documented divergence from the
+// paper's footnote-4 no-global-clock stance; see DESIGN.md §13.
+//
+// Both engines are deterministic given (instance, delay policy, schedule,
+// seed).
+//
+// AsyncRunner and SyncRunner hold the two loops, templated on a Handler
+// with
 //
 //   handler.on_wake(ctx, cause)      // ctx.node() is the woken node
 //   handler.on_message(ctx, in)
 //   handler.on_round(ctx, inbox)
 //
 // There is one Handler: sim/kernel.hpp's FlatHandler<A>, generated from an
-// algorithm type. Every built-in family is such a type, and so is a
-// hand-written ProcessFactory (ProcessAlgorithm), so sim::AsyncEngine /
-// SyncEngine, RunInstruments::use_virtual_processes and the production
-// kernels all run this code. The handler's template hooks inline into the
-// loop with the final context types below, devirtualizing every ctx call a
-// family makes; a Process still sees them through sim::Context.
+// algorithm type. Every built-in family is such a type, and so are
+// hand-written Processes (ProcessAlgorithm), so every run — production
+// kernels, test Processes, the NIH wrapper — goes through this code.
+// The handler's template hooks inline into the loop with the final context
+// types below, devirtualizing every ctx call a family makes; a Process
+// still sees them through sim::Context.
 #pragma once
 
 #include <algorithm>
@@ -25,14 +58,33 @@
 #include <vector>
 
 #include "sim/adversary.hpp"
-#include "sim/async_engine.hpp"
 #include "sim/delay_policy.hpp"
 #include "sim/engine_core.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/parallel.hpp"
-#include "sim/sync_engine.hpp"
 #include "sim/workspace.hpp"
 #include "support/check.hpp"
+
+namespace rise::sim {
+
+struct RunLimits {
+  std::uint64_t max_events = 200'000'000;  ///< hard safety cap; exceeded => throws
+  Time max_time = kNever;                  ///< stop scheduling past this tick
+};
+
+struct SyncRunLimits {
+  std::uint64_t max_rounds = 10'000'000;
+  std::uint64_t max_messages = 500'000'000;
+
+  /// Enables the sleeping model (DESIGN.md §13): Context::sleep_until
+  /// becomes legal, declared-asleep nodes are never stepped, and messages
+  /// arriving at them are dropped (counted in Metrics::sleep_dropped).
+  /// Off, the engine reproduces the historical lock-step semantics (and
+  /// traces) bit for bit.
+  bool sleeping_model = false;
+};
+
+}  // namespace rise::sim
 
 namespace rise::sim::internal {
 

@@ -24,22 +24,25 @@
 // loop — no vtable on either side of the hot path and no per-node
 // allocation.
 //
+// KernelRunner is the type-erased handle of one configured family and the
+// only thing an engine runs: two std::functions run it under either engine
+// (KernelRunner::run_async / run_sync, or the positional sim::run_async /
+// sim::run_sync below), and process_factory() yields the same family as one
+// heap Process per node (one AlgorithmProcess holding one State). The
+// algorithm object is shared (immutable) by every run and every process
+// made from the handle, so one handle may serve concurrent campaign
+// workers; all mutable state lives in the per-run handler and the
+// per-thread workspace.
+//
 // A hand-written ProcessFactory is one more algorithm type
 // (ProcessAlgorithm): its State is the node's heap Process and its hooks
-// forward to the virtual ones. sim::AsyncEngine / sim::SyncEngine, the NIH
-// wrapper and RunInstruments::use_virtual_processes run it through the same
-// FlatHandler, and process_factory(A) turns any family into such a factory
-// (one AlgorithmProcess per node holding one State). The generated Process
-// runs the same hook bodies with the same RNG draws, message encodings and
-// probe marks; test_sim_kernels and the fuzzer's dispatch-divergence
-// differential pin it digest-for-digest against the flat kernel.
-//
-// KernelRunner is the type-erased handle of one configured family: two
-// std::functions run it under either engine, and process_factory() yields
-// the same family as Processes. The algorithm object is shared (immutable)
-// by every run and every process made from the handle, so one handle may
-// serve concurrent campaign workers; all mutable state lives in the per-run
-// handler and the per-thread workspace.
+// forward to the virtual ones, so make_kernel(ProcessAlgorithm{factory})
+// runs it through the same FlatHandler. The NIH wrapper is built that way,
+// and the kernel-vs-Process differentials (test_sim_kernels, the fuzzer's
+// dispatch-divergence check, bench_engine_micro's virtual-vs-kernel row)
+// swap a handle for make_kernel(ProcessAlgorithm{h.process_factory()}). The
+// generated Process runs the same hook bodies with the same RNG draws,
+// message encodings and probe marks, so the two agree digest for digest.
 #pragma once
 
 #include <functional>
@@ -103,9 +106,9 @@ class KernelRunner {
   }
   RunResult run_sync(const SyncKernelArgs& args) const { return sync_(args); }
 
-  /// The same family as one heap Process per node, for sim::AsyncEngine /
-  /// sim::SyncEngine and RunInstruments::use_virtual_processes;
-  /// bit-identical to run_async / run_sync.
+  /// The same family as one heap Process per node, for wrappers (lb/nih)
+  /// and kernel-vs-Process differentials; bit-identical to run_async /
+  /// run_sync when run as make_kernel(ProcessAlgorithm{...}).
   const ProcessFactory& process_factory() const { return factory_; }
 
  private:
@@ -249,13 +252,6 @@ ProcessFactory process_factory(std::shared_ptr<const A> algo) {
 
 }  // namespace internal
 
-/// The family as a ProcessFactory: one heap Process per node.
-template <class A>
-ProcessFactory process_factory(A algorithm) {
-  return internal::process_factory(
-      std::make_shared<const A>(std::move(algorithm)));
-}
-
 /// A ProcessFactory as an algorithm type: each node's State is the Process
 /// the factory makes for it (created once per run, in node order), and each
 /// hook forwards to the Process's virtual one.
@@ -292,6 +288,39 @@ KernelRunner make_kernel(A algorithm) {
         return internal::run_flat_sync(*algo, a);
       },
       internal::process_factory(algo));
+}
+
+/// One asynchronous run of `kernel` with default workspace, probe and
+/// queue backend; fill AsyncKernelArgs for the rest.
+inline RunResult run_async(const Instance& instance, const DelayPolicy& delays,
+                           const WakeSchedule& schedule, std::uint64_t seed,
+                           const KernelRunner& kernel,
+                           const RunLimits& limits = {},
+                           TraceSink* trace = nullptr) {
+  AsyncKernelArgs args;
+  args.instance = &instance;
+  args.delays = &delays;
+  args.schedule = &schedule;
+  args.seed = seed;
+  args.limits = limits;
+  args.trace = trace;
+  return kernel.run_async(args);
+}
+
+/// One synchronous run of `kernel` (wake times are round numbers); fill
+/// SyncKernelArgs for a workspace, probe or round-parallel stepping.
+inline RunResult run_sync(const Instance& instance,
+                          const WakeSchedule& schedule, std::uint64_t seed,
+                          const KernelRunner& kernel,
+                          const SyncRunLimits& limits = {},
+                          TraceSink* trace = nullptr) {
+  SyncKernelArgs args;
+  args.instance = &instance;
+  args.schedule = &schedule;
+  args.seed = seed;
+  args.limits = limits;
+  args.trace = trace;
+  return kernel.run_sync(args);
 }
 
 }  // namespace rise::sim

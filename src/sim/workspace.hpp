@@ -8,8 +8,8 @@
 // and move them back out on destruction — so steady-state trials on a fixed
 // topology perform near-zero heap allocations outside the algorithm itself.
 // The algorithm's per-node state — a family's flat States, or the Processes
-// of a ProcessFactory run — is recycled the same way, through one
-// type-tagged handler slot.
+// of a make_kernel(ProcessAlgorithm{...}) handle — is recycled the same
+// way, through one type-tagged handler slot.
 //
 // A workspace is single-threaded state: it must only ever be used by one
 // engine at a time, on one thread (the campaign runner keeps one per worker
@@ -115,9 +115,10 @@ struct RunWorkspace {
 
   // Handler storage (sim/kernel.hpp): one type-tagged slot holding the
   // current algorithm type's node-state vector — a family's flat States, or
-  // the Processes of a ProcessFactory run — so back-to-back runs of the same
-  // type reuse its capacity. Switching types replaces the slot (campaigns
-  // run one family per campaign, so this never thrashes in practice).
+  // the Processes of a ProcessAlgorithm handle — so back-to-back runs of
+  // the same type reuse its capacity. Switching types replaces the slot
+  // (campaigns run one family per campaign, so this never thrashes in
+  // practice).
   std::shared_ptr<void> kernel_state;
   const std::type_info* kernel_state_type = nullptr;
 

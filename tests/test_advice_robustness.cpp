@@ -55,7 +55,7 @@ TEST_P(AdviceMatrix, WakesEveryoneUnderEveryAdversary) {
     const auto delays = make_delay(seed * 31);
     const auto result =
         sim::run_async(inst, *delays, schedule, seed,
-                       scheme.algorithm.process_factory());
+                       scheme.algorithm);
     EXPECT_TRUE(result.all_awake())
         << GetParam().scheme << "/" << GetParam().delay << " seed " << seed;
   }
@@ -79,11 +79,11 @@ TEST_P(AdviceMatrix, MessageCountIndependentOfDelays) {
   const auto unit = sim::unit_delay();
   const auto baseline =
       sim::run_async(inst, *unit, schedule, 1,
-                     scheme.algorithm.process_factory());
+                     scheme.algorithm);
   const auto delays = make_delay(99);
   const auto delayed =
       sim::run_async(inst, *delays, schedule, 1,
-                     scheme.algorithm.process_factory());
+                     scheme.algorithm);
   EXPECT_EQ(delayed.metrics.messages, baseline.metrics.messages)
       << GetParam().scheme << "/" << GetParam().delay;
 }
@@ -147,7 +147,7 @@ TEST(AdviceRobustness, AdviceIsPortMappingSensitive) {
   i2.set_advice(scheme.oracle->advise(i2));
   for (auto* inst : {&i1, &i2}) {
     const auto result = test::run_async_unit(*inst, sim::wake_single(0),
-                                             advice::child_encoding_factory());
+                                             advice::child_encoding_kernel());
     EXPECT_TRUE(result.all_awake());
   }
 }

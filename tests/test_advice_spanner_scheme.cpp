@@ -28,7 +28,7 @@ TEST(SpannerScheme, WakesAllOnCatalogForSeveralK) {
       const auto inst = advised_instance(g, k);
       const auto schedule = sim::wake_random_subset(g.num_nodes(), 0.2, rng);
       const auto result =
-          test::run_async_unit(inst, schedule, spanner_factory());
+          test::run_async_unit(inst, schedule, spanner_kernel());
       EXPECT_TRUE(result.all_awake()) << name << " k=" << k;
     }
   }
@@ -42,7 +42,7 @@ TEST(SpannerScheme, MessagesBoundedBySpannerEdges) {
     const auto spanner = graph::greedy_spanner(g, k);
     const auto inst = advised_instance(g, k, 7);
     const auto result = test::run_async_unit(inst, sim::wake_all(120),
-                                             spanner_factory());
+                                             spanner_kernel());
     ASSERT_TRUE(result.all_awake());
     EXPECT_LE(result.metrics.messages, 4ull * spanner.num_edges());
   }
@@ -53,7 +53,7 @@ TEST(SpannerScheme, MessagesMuchLessThanFloodingOnDenseGraphs) {
   const auto g = graph::connected_gnp(150, 0.4, rng);
   const auto inst = advised_instance(g, 3);
   const auto result =
-      test::run_async_unit(inst, sim::wake_all(150), spanner_factory());
+      test::run_async_unit(inst, sim::wake_all(150), spanner_kernel());
   ASSERT_TRUE(result.all_awake());
   EXPECT_LT(result.metrics.messages, g.num_edges());  // flooding would be 2m
 }
@@ -64,7 +64,7 @@ TEST(SpannerScheme, TimeBoundKRhoLogN) {
     const auto g = graph::connected_gnp(100, 0.1, rng);
     const auto inst = advised_instance(g, k);
     const auto result = test::run_async_unit(inst, sim::wake_single(0),
-                                             spanner_factory());
+                                             spanner_kernel());
     ASSERT_TRUE(result.all_awake());
     const double rho = graph::awake_distance(g, {0});
     const double logn = std::log2(100.0);
@@ -101,7 +101,7 @@ TEST(SpannerScheme, LargerKMeansFewerMessages) {
   for (unsigned k : {1u, 2u, 4u}) {
     const auto inst = advised_instance(g, k, 3);
     const auto result =
-        test::run_async_unit(inst, sim::wake_all(120), spanner_factory());
+        test::run_async_unit(inst, sim::wake_all(120), spanner_kernel());
     ASSERT_TRUE(result.all_awake());
     EXPECT_LE(result.metrics.messages, prev) << "k=" << k;
     prev = result.metrics.messages;
@@ -119,7 +119,7 @@ TEST(Corollary2, PolylogAdviceAndNearLinearMessages) {
   EXPECT_LE(static_cast<double>(stats.max_bits), 30.0 * logn * logn);
   const auto result =
       test::run_async_unit(inst, sim::wake_all(n),
-                                               scheme.algorithm.process_factory());
+                                               scheme.algorithm);
   ASSERT_TRUE(result.all_awake());
   EXPECT_LE(static_cast<double>(result.metrics.messages),
             20.0 * n * logn);
@@ -130,7 +130,7 @@ TEST(SpannerScheme, CongestSafe) {
   const auto g = graph::connected_gnp(200, 0.2, rng);
   const auto inst = advised_instance(g, 2);
   EXPECT_NO_THROW(
-      test::run_async_unit(inst, sim::wake_single(0), spanner_factory()));
+      test::run_async_unit(inst, sim::wake_single(0), spanner_kernel()));
 }
 
 }  // namespace

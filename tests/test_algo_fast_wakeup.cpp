@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "graph/algorithms.hpp"
-#include "sim/sync_engine.hpp"
+#include "sim/kernel.hpp"
 #include "test_util.hpp"
 
 namespace rise::algo {
@@ -17,7 +17,7 @@ TEST(FastWakeup, WakesAllOnCatalog) {
   for (const auto& [name, g] : test::graph_catalog()) {
     const auto inst = test::make_instance(g, Knowledge::KT1);
     const auto result =
-        sim::run_sync(inst, sim::wake_single(0), 7, fast_wakeup_factory());
+        sim::run_sync(inst, sim::wake_single(0), 7, fast_wakeup_kernel());
     EXPECT_TRUE(result.all_awake()) << name;
   }
 }
@@ -30,7 +30,7 @@ TEST(FastWakeup, RespectsTenRhoBound) {
     for (std::uint64_t seed : {1ull, 5ull, 9ull}) {
       const auto schedule = sim::wake_single(0);
       const auto result =
-          sim::run_sync(inst, schedule, seed, fast_wakeup_factory());
+          sim::run_sync(inst, schedule, seed, fast_wakeup_kernel());
       ASSERT_TRUE(result.all_awake()) << name;
       const auto rho = graph::awake_distance(g, {0});
       EXPECT_LE(result.wakeup_span(), 10ull * rho + 10)
@@ -45,7 +45,7 @@ TEST(FastWakeup, DominatingSetWakesFast) {
   const auto g = graph::connected_gnp(100, 0.08, rng);
   const auto inst = test::make_instance(g, Knowledge::KT1);
   const auto schedule = sim::dominating_set_wakeup(g);
-  const auto result = sim::run_sync(inst, schedule, 3, fast_wakeup_factory());
+  const auto result = sim::run_sync(inst, schedule, 3, fast_wakeup_kernel());
   ASSERT_TRUE(result.all_awake());
   EXPECT_LE(result.wakeup_span(), 10u);
 }
@@ -54,7 +54,7 @@ TEST(FastWakeup, AllAwakeInstantlyStillQuiesces) {
   const auto g = graph::complete(30);
   const auto inst = test::make_instance(g, Knowledge::KT1);
   const auto result =
-      sim::run_sync(inst, sim::wake_all(30), 5, fast_wakeup_factory());
+      sim::run_sync(inst, sim::wake_all(30), 5, fast_wakeup_kernel());
   EXPECT_TRUE(result.all_awake());
   EXPECT_LT(result.metrics.rounds, 40u);
 }
@@ -66,7 +66,7 @@ TEST(FastWakeup, ForcedRootBuildsThreeLevelTree) {
   const auto inst = test::make_instance(g, Knowledge::KT1);
   FastWakeupProbe probe;
   const auto result = sim::run_sync(inst, sim::wake_single(0), 1,
-                                    fast_wakeup_factory(&probe, 1.0));
+                                    fast_wakeup_kernel(&probe, 1.0));
   EXPECT_GE(probe.roots_sampled, 1u);
   // Nodes 1..3 are levels 1..3 of node 0's tree; node 3 becomes active and
   // continues the wake-up, so all nodes wake eventually.
@@ -80,7 +80,7 @@ TEST(FastWakeup, NoRootsFallsBackToBroadcastWaves) {
   const auto inst = test::make_instance(g, Knowledge::KT1);
   FastWakeupProbe probe;
   const auto result = sim::run_sync(inst, sim::wake_single(0), 1,
-                                    fast_wakeup_factory(&probe, 0.0));
+                                    fast_wakeup_kernel(&probe, 0.0));
   EXPECT_TRUE(result.all_awake());
   EXPECT_EQ(probe.roots_sampled, 0u);
   EXPECT_GE(probe.activate_broadcasts, 4u);
@@ -95,7 +95,7 @@ TEST(FastWakeup, MessageBoundOnDominatingSetWorkload) {
   const auto g = graph::connected_gnp(n, 0.2, rng);
   const auto inst = test::make_instance(g, Knowledge::KT1);
   const auto schedule = sim::dominating_set_wakeup(g);
-  const auto result = sim::run_sync(inst, schedule, 17, fast_wakeup_factory());
+  const auto result = sim::run_sync(inst, schedule, 17, fast_wakeup_kernel());
   ASSERT_TRUE(result.all_awake());
   const double bound =
       40.0 * std::pow(n, 1.5) * std::sqrt(std::log(static_cast<double>(n)));
@@ -108,7 +108,7 @@ TEST(FastWakeup, LateAdversaryWakesDoNotBreakInProgressTrees) {
   const auto inst = test::make_instance(g, Knowledge::KT1);
   sim::WakeSchedule schedule;
   schedule.wakes = {{0, 0}, {3, 30}, {7, 55}, {12, 63}};
-  const auto result = sim::run_sync(inst, schedule, 2, fast_wakeup_factory());
+  const auto result = sim::run_sync(inst, schedule, 2, fast_wakeup_kernel());
   EXPECT_TRUE(result.all_awake());
 }
 
@@ -117,9 +117,9 @@ TEST(FastWakeup, DeterministicGivenSeed) {
   const auto g = graph::connected_gnp(60, 0.1, rng);
   const auto inst = test::make_instance(g, Knowledge::KT1);
   const auto r1 =
-      sim::run_sync(inst, sim::wake_single(0), 123, fast_wakeup_factory());
+      sim::run_sync(inst, sim::wake_single(0), 123, fast_wakeup_kernel());
   const auto r2 =
-      sim::run_sync(inst, sim::wake_single(0), 123, fast_wakeup_factory());
+      sim::run_sync(inst, sim::wake_single(0), 123, fast_wakeup_kernel());
   EXPECT_EQ(r1.wake_time, r2.wake_time);
   EXPECT_EQ(r1.metrics.messages, r2.metrics.messages);
 }

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
-#include "sim/sync_engine.hpp"
+#include "sim/kernel.hpp"
 #include "test_util.hpp"
 
 namespace rise::algo {
@@ -16,7 +16,7 @@ TEST(PushGossip, SpreadsOnCompleteGraphQuickly) {
   const auto g = graph::complete(n);
   const auto inst = test::make_instance(g, Knowledge::KT0);
   const auto result =
-      sim::run_sync(inst, sim::wake_single(0), 5, push_gossip_factory(200));
+      sim::run_sync(inst, sim::wake_single(0), 5, push_gossip_kernel(200));
   EXPECT_TRUE(result.all_awake());
   // Push on K_n completes in O(log n) rounds w.h.p.; 60 is generous.
   EXPECT_LE(result.wakeup_span(), 60u);
@@ -26,7 +26,7 @@ TEST(PushGossip, RespectsRoundBudget) {
   const auto g = graph::complete(16);
   const auto inst = test::make_instance(g, Knowledge::KT0);
   const auto result =
-      sim::run_sync(inst, sim::wake_single(0), 5, push_gossip_factory(3));
+      sim::run_sync(inst, sim::wake_single(0), 5, push_gossip_kernel(3));
   // Each awake node sends at most 3 pushes.
   for (std::uint32_t sent : result.metrics.sent_per_node) {
     EXPECT_LE(sent, 3u);
@@ -44,7 +44,7 @@ TEST(PushGossip, Footnote3PendantIsSlow) {
   int reached = 0;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const auto result = sim::run_sync(inst, sim::wake_single(1), seed,
-                                      push_gossip_factory(4000));
+                                      push_gossip_kernel(4000));
     if (result.wake_time[n - 1] != sim::kNever) {
       ++reached;
       total_time += static_cast<double>(result.wake_time[n - 1]);
@@ -65,7 +65,7 @@ TEST(PushGossip, CliquePartIsExponentiallyFasterThanPendant) {
   int trials = 0;
   for (std::uint64_t seed = 100; seed < 110; ++seed) {
     const auto result = sim::run_sync(inst, sim::wake_single(1), seed,
-                                      push_gossip_factory(4000));
+                                      push_gossip_kernel(4000));
     if (!result.all_awake()) continue;
     ++trials;
     sim::Time clique_max = 0;

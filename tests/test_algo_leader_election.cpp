@@ -36,7 +36,7 @@ TEST(LeaderElection, UnanimousAcrossCatalog) {
     const auto inst = test::make_instance(g, Knowledge::KT1);
     const auto schedule = sim::wake_random_subset(g.num_nodes(), 0.3, rng);
     const auto result = test::run_async_unit(inst, schedule,
-                                             ranked_dfs_leader_factory());
+                                             ranked_dfs_leader_kernel());
     expect_valid_election(result, inst, schedule, name);
   }
 }
@@ -46,7 +46,7 @@ TEST(LeaderElection, SingleInitiatorElectsItself) {
   const auto inst = test::make_instance(g, Knowledge::KT1);
   const auto schedule = sim::wake_single(7);
   const auto result = test::run_async_unit(inst, schedule,
-                                           ranked_dfs_leader_factory());
+                                           ranked_dfs_leader_kernel());
   ASSERT_TRUE(result.all_awake());
   for (std::uint64_t out : result.outputs) {
     EXPECT_EQ(out, inst.label(7));
@@ -60,7 +60,7 @@ TEST(LeaderElection, StaggeredAdversaryStillUnanimous) {
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const auto schedule = sim::staggered_doubling(90, 15, 2.0, rng);
     const auto result = test::run_async_unit(
-        inst, schedule, ranked_dfs_leader_factory(), seed);
+        inst, schedule, ranked_dfs_leader_kernel(), seed);
     expect_valid_election(result, inst, schedule,
                           "seed " + std::to_string(seed));
   }
@@ -73,9 +73,9 @@ TEST(LeaderElection, CostsOnlyOneMoreDfsPass) {
   const auto inst = test::make_instance(g, Knowledge::KT1);
   const auto schedule = sim::wake_set({0, 50, 100});
   const auto plain = test::run_async_unit(inst, schedule,
-                                          ranked_dfs_factory(), 5);
+                                          ranked_dfs_kernel(), 5);
   const auto elect = test::run_async_unit(inst, schedule,
-                                          ranked_dfs_leader_factory(), 5);
+                                          ranked_dfs_leader_kernel(), 5);
   EXPECT_LE(elect.metrics.messages,
             plain.metrics.messages + 2ull * g.num_nodes());
 }
@@ -87,7 +87,7 @@ TEST(LeaderElection, RobustUnderAdversarialDelays) {
   const auto delays = sim::random_delay(7, 1234);
   const auto schedule = sim::wake_set({0, 39});
   const auto result = sim::run_async(inst, *delays, schedule, 11,
-                                     ranked_dfs_leader_factory());
+                                     ranked_dfs_leader_kernel());
   expect_valid_election(result, inst, schedule, "lollipop");
 }
 

@@ -10,7 +10,7 @@
 
 #include "algo/sleeping.hpp"
 #include "sim/adversary.hpp"
-#include "sim/sync_engine.hpp"
+#include "sim/kernel.hpp"
 #include "support/check.hpp"
 #include "test_util.hpp"
 
@@ -115,7 +115,7 @@ TEST(SleepingMis, ValidOnCatalogGraphsAcrossSchedulesAndSeeds) {
     for (const auto& schedule : schedules(g.num_nodes(), 31)) {
       for (std::uint64_t seed : {1ull, 2ull}) {
         const auto r = sim::run_sync(inst, schedule, seed,
-                                     algo::sleeping_mis_factory(),
+                                     algo::sleeping_mis_kernel(),
                                      sleeping_limits());
         const std::string what = name + "/schedule" +
                                  std::to_string(schedule_id) + "/seed" +
@@ -150,7 +150,7 @@ TEST(SleepingMatching, ValidOnCatalogGraphsAcrossSchedulesAndSeeds) {
     for (const auto& schedule : schedules(g.num_nodes(), 47)) {
       for (std::uint64_t seed : {1ull, 2ull}) {
         const auto r = sim::run_sync(inst, schedule, seed,
-                                     algo::sleeping_matching_factory(),
+                                     algo::sleeping_matching_kernel(),
                                      sleeping_limits());
         const std::string what = name + "/schedule" +
                                  std::to_string(schedule_id) + "/seed" +
@@ -201,8 +201,9 @@ struct SleepAbuser final : sim::Process {
   Abuse abuse_;
 };
 
-sim::ProcessFactory abuser_factory(SleepAbuser::Abuse abuse) {
-  return [abuse](sim::NodeId) { return std::make_unique<SleepAbuser>(abuse); };
+sim::KernelRunner abuser_kernel(SleepAbuser::Abuse abuse) {
+  return sim::make_kernel(sim::ProcessAlgorithm{
+      [abuse](sim::NodeId) { return std::make_unique<SleepAbuser>(abuse); }});
 }
 
 TEST(SleepUntil, RequiresTheSleepingModel) {
@@ -210,11 +211,11 @@ TEST(SleepUntil, RequiresTheSleepingModel) {
   const auto inst = test::make_instance(g, Knowledge::KT0);
   // Synchronous engine without sleeping_model: the engine context refuses.
   EXPECT_THROW(sim::run_sync(inst, sim::wake_single(0), 1,
-                             abuser_factory(SleepAbuser::Abuse::kLegal)),
+                             abuser_kernel(SleepAbuser::Abuse::kLegal)),
                CheckError);
   // Asynchronous engine: the Context default refuses.
   EXPECT_THROW(test::run_async_unit(inst, sim::wake_single(0),
-                                    abuser_factory(SleepAbuser::Abuse::kLegal)),
+                                    abuser_kernel(SleepAbuser::Abuse::kLegal)),
                CheckError);
 }
 
@@ -225,13 +226,13 @@ TEST(SleepUntil, RejectsNonFutureTargetsAndRedeclaration) {
                      SleepAbuser::Abuse::kCurrentRound,
                      SleepAbuser::Abuse::kRedeclare}) {
     EXPECT_THROW(sim::run_sync(inst, sim::wake_single(0), 1,
-                               abuser_factory(abuse), sleeping_limits()),
+                               abuser_kernel(abuse), sleeping_limits()),
                  CheckError)
         << static_cast<int>(abuse);
   }
   // The legal declaration runs clean under the sleeping model.
   EXPECT_NO_THROW(sim::run_sync(inst, sim::wake_single(0), 1,
-                                abuser_factory(SleepAbuser::Abuse::kLegal),
+                                abuser_kernel(SleepAbuser::Abuse::kLegal),
                                 sleeping_limits()));
 }
 
@@ -276,7 +277,9 @@ TEST(SleepUntil, NapsDropMessagesAndResumeOnTime) {
   const auto inst = sim::Instance::create(g, opt, rng);
   const auto r =
       sim::run_sync(inst, sim::wake_all(2), 3,
-                    [](sim::NodeId) { return std::make_unique<NapObserver>(); },
+                    sim::make_kernel(sim::ProcessAlgorithm{[](sim::NodeId) {
+                      return std::make_unique<NapObserver>();
+                    }}),
                     sleeping_limits());
   // The observer's first post-wake step is exactly the declared round 4.
   EXPECT_EQ(r.outputs[0], 4u);

@@ -56,6 +56,21 @@ TEST(SampleScenario, CoversEveryFamilyInAShortPrefix) {
   EXPECT_EQ(seen.size(), scenario_families().size());
 }
 
+TEST(SampleScenario, FamilyOfTheSampledAlgorithmIsTheScenarioFamily) {
+  for (std::uint64_t i = 0; i < 500; ++i) {
+    const Scenario s = sample_scenario(11, i);
+    EXPECT_EQ(scenario_family_of(s.spec.algorithm), s.family)
+        << s.spec.algorithm;
+    // Exactly the lock-step families run on the synchronous engine.
+    const bool lock_step = s.family == "fast_wakeup" ||
+                           s.family == "gossip" || s.family == "sleeping";
+    EXPECT_EQ(app::parse_algorithm_spec(s.spec.algorithm).synchronous,
+              lock_step)
+        << s.spec.algorithm;
+  }
+  EXPECT_EQ(scenario_family_of("no_such_algorithm"), "");
+}
+
 TEST(ShrinkCandidates, ShrinkGraphsRespectFamilyFloors) {
   Scenario s;
   s.spec.graph = "grid:6x8";

@@ -29,7 +29,7 @@ TEST_P(SizeSweep, RankedDfsMessagesAreNearLinear) {
   const auto g = graph::connected_gnp(n, 6.0 / n, rng);
   const auto inst = test::make_instance(g, Knowledge::KT1);
   const auto result = test::run_async_unit(inst, sim::wake_all(n),
-                                           algo::ranked_dfs_factory(), n);
+                                           algo::ranked_dfs_kernel(), n);
   ASSERT_TRUE(result.all_awake());
   const double bound = 20.0 * n * std::log(static_cast<double>(n));
   EXPECT_LT(static_cast<double>(result.metrics.messages), bound);
@@ -41,7 +41,7 @@ TEST_P(SizeSweep, FloodingMessagesAreTwoM) {
   const auto g = graph::connected_gnp(n, 6.0 / n, rng);
   const auto inst = test::make_instance(g, Knowledge::KT0);
   const auto result =
-      test::run_async_unit(inst, sim::wake_single(0), algo::flooding_factory());
+      test::run_async_unit(inst, sim::wake_single(0), algo::flooding_kernel());
   EXPECT_EQ(result.metrics.messages, 2 * g.num_edges());
 }
 
@@ -53,7 +53,7 @@ TEST_P(SizeSweep, Fip06MessagesLinearAdviceAvgLog) {
   const auto stats = advice::apply_oracle(inst, *advice::fip06_oracle());
   EXPECT_LT(stats.avg_bits, 10.0 * std::log2(static_cast<double>(n)));
   const auto result = test::run_async_unit(inst, sim::wake_all(n),
-                                           advice::fip06_factory());
+                                           advice::fip06_kernel());
   ASSERT_TRUE(result.all_awake());
   EXPECT_LE(result.metrics.messages, 2ull * n);
 }
@@ -68,7 +68,7 @@ TEST_P(SizeSweep, ChildEncodingAllThreeBounds) {
   const double logn = std::log2(static_cast<double>(n));
   EXPECT_LT(static_cast<double>(stats.max_bits), 10.0 * logn);
   const auto result = test::run_async_unit(inst, sim::wake_single(0),
-                                           advice::child_encoding_factory());
+                                           advice::child_encoding_kernel());
   ASSERT_TRUE(result.all_awake());
   EXPECT_LE(result.metrics.messages, 3ull * n);
   const double d = graph::diameter(g);
@@ -83,7 +83,7 @@ TEST_P(SizeSweep, FastWakeupRespectsRoundAndMessageEnvelope) {
   const auto inst = test::make_instance(g, Knowledge::KT1);
   const auto schedule = sim::dominating_set_wakeup(g);
   const auto result =
-      sim::run_sync(inst, schedule, n, algo::fast_wakeup_factory());
+      sim::run_sync(inst, schedule, n, algo::fast_wakeup_kernel());
   ASSERT_TRUE(result.all_awake());
   EXPECT_LE(result.wakeup_span(), 10u);
   const double bound = 60.0 * std::pow(static_cast<double>(n), 1.5) *
@@ -114,7 +114,7 @@ TEST_P(BetaSweep, Theorem1CurveFromAchievableSide) {
   advice::apply_oracle(inst, *lb::beta_probing_oracle(beta));
   const auto delays = sim::unit_delay();
   const auto result = sim::run_async(inst, *delays, fam.centers_awake(), 1,
-                                     lb::beta_probing_factory(beta));
+                                     lb::beta_probing_kernel(beta));
   ASSERT_TRUE(result.all_awake());
   const double per_center =
       std::ceil(static_cast<double>(n + 1) / (1u << beta));

@@ -33,7 +33,7 @@ TEST(Degenerate, FloodingOnTinyGraphs) {
   for (const auto& [name, g] : tiny_graphs()) {
     const auto inst = test::make_instance(g, Knowledge::KT0);
     const auto result =
-        test::run_async_unit(inst, sim::wake_single(0), algo::flooding_factory());
+        test::run_async_unit(inst, sim::wake_single(0), algo::flooding_kernel());
     EXPECT_TRUE(result.all_awake()) << name;
   }
 }
@@ -42,12 +42,12 @@ TEST(Degenerate, RankedDfsOnTinyGraphs) {
   for (const auto& [name, g] : tiny_graphs()) {
     const auto inst = test::make_instance(g, Knowledge::KT1);
     const auto result = test::run_async_unit(inst, sim::wake_single(0),
-                                             algo::ranked_dfs_factory());
+                                             algo::ranked_dfs_kernel());
     EXPECT_TRUE(result.all_awake()) << name;
     const auto congest_inst =
         test::make_instance(g, Knowledge::KT1, sim::Bandwidth::CONGEST);
     const auto cresult = test::run_async_unit(
-        congest_inst, sim::wake_single(0), algo::ranked_dfs_congest_factory());
+        congest_inst, sim::wake_single(0), algo::ranked_dfs_congest_kernel());
     EXPECT_TRUE(cresult.all_awake()) << name;
   }
 }
@@ -56,7 +56,7 @@ TEST(Degenerate, LeaderElectionOnTinyGraphs) {
   for (const auto& [name, g] : tiny_graphs()) {
     const auto inst = test::make_instance(g, Knowledge::KT1);
     const auto result = test::run_async_unit(
-        inst, sim::wake_all(g.num_nodes()), algo::ranked_dfs_leader_factory());
+        inst, sim::wake_all(g.num_nodes()), algo::ranked_dfs_leader_kernel());
     ASSERT_TRUE(result.all_awake()) << name;
     for (auto out : result.outputs) {
       EXPECT_EQ(out, result.outputs[0]) << name;
@@ -71,7 +71,7 @@ TEST(Degenerate, FastWakeupOnTinyGraphs) {
     for (std::uint64_t seed : {1ull, 2ull}) {
       const auto result =
           sim::run_sync(inst, sim::wake_single(0), seed,
-                        algo::fast_wakeup_factory());
+                        algo::fast_wakeup_kernel());
       EXPECT_TRUE(result.all_awake()) << name << " seed " << seed;
     }
   }
@@ -90,7 +90,7 @@ TEST(Degenerate, SleepingFamiliesOnTinyGraphs) {
     for (std::uint64_t seed : {1ull, 2ull}) {
       const auto mis =
           sim::run_sync(inst, sim::wake_single(0), seed,
-                        algo::sleeping_mis_factory(), sleeping_limits());
+                        algo::sleeping_mis_kernel(), sleeping_limits());
       EXPECT_TRUE(mis.all_awake()) << name << " seed " << seed;
       // A single node hears all of its zero ports and joins the MIS.
       if (g.num_nodes() == 1) {
@@ -104,7 +104,7 @@ TEST(Degenerate, SleepingFamiliesOnTinyGraphs) {
 
       const auto match =
           sim::run_sync(inst, sim::wake_single(0), seed,
-                        algo::sleeping_matching_factory(), sleeping_limits());
+                        algo::sleeping_matching_kernel(), sleeping_limits());
       EXPECT_TRUE(match.all_awake()) << name << " seed " << seed;
       // A single node has no live ports and decides maximally unmatched.
       if (g.num_nodes() == 1) {
@@ -132,7 +132,7 @@ TEST(Degenerate, SleepingFamiliesOnDisconnectedRegularGraphs) {
   // Both components woken: every node decides, each triangle independently.
   sim::WakeSchedule both;
   both.wakes = {{0, 0}, {9, 3}};
-  const auto full = sim::run_sync(inst, both, 4, algo::sleeping_mis_factory(),
+  const auto full = sim::run_sync(inst, both, 4, algo::sleeping_mis_kernel(),
                                   sleeping_limits());
   EXPECT_TRUE(full.all_awake());
   for (graph::NodeId base : {0u, 3u}) {
@@ -145,7 +145,7 @@ TEST(Degenerate, SleepingFamiliesOnDisconnectedRegularGraphs) {
   // would break the wake-up model) and keeps kNoOutput.
   const auto half =
       sim::run_sync(inst, sim::wake_single(0), 4,
-                    algo::sleeping_matching_factory(), sleeping_limits());
+                    algo::sleeping_matching_kernel(), sleeping_limits());
   EXPECT_FALSE(half.all_awake());
   for (graph::NodeId u = 3; u < 6; ++u) {
     EXPECT_EQ(half.wake_time[u], sim::kNever) << u;
@@ -178,7 +178,7 @@ TEST(Degenerate, AdviceSchemesOnTinyGraphs) {
       advice::apply_oracle(inst, *scheme.oracle);
       const auto result =
           test::run_async_unit(inst, sim::wake_single(0),
-                                                      scheme.algorithm.process_factory());
+                                                      scheme.algorithm);
       EXPECT_TRUE(result.all_awake()) << name << "/" << sname;
     }
   }
@@ -187,10 +187,10 @@ TEST(Degenerate, AdviceSchemesOnTinyGraphs) {
 TEST(Degenerate, SingleNodeSendsNothing) {
   const auto g = graph::Graph::from_edges(1, {});
   const auto inst = test::make_instance(g, Knowledge::KT1);
-  for (const auto& factory :
-       {algo::flooding_factory(), algo::ranked_dfs_factory()}) {
+  for (const auto& kernel :
+       {algo::flooding_kernel(), algo::ranked_dfs_kernel()}) {
     const auto result =
-        test::run_async_unit(inst, sim::wake_single(0), factory);
+        test::run_async_unit(inst, sim::wake_single(0), kernel);
     EXPECT_TRUE(result.all_awake());
     EXPECT_EQ(result.metrics.messages, 0u);
   }
@@ -200,7 +200,7 @@ TEST(Degenerate, EmptyScheduleWakesNobody) {
   const auto g = graph::path(4);
   const auto inst = test::make_instance(g, Knowledge::KT0);
   const auto result = test::run_async_unit(inst, sim::WakeSchedule{},
-                                           algo::flooding_factory());
+                                           algo::flooding_kernel());
   EXPECT_EQ(result.awake_count(), 0u);
   EXPECT_EQ(result.metrics.messages, 0u);
 }
@@ -212,7 +212,7 @@ TEST(Degenerate, AdversaryOnlyWakesDisconnectedPieces) {
   sim::WakeSchedule schedule;
   schedule.wakes = {{0, 0}, {7, 2}};
   const auto result =
-      test::run_async_unit(inst, schedule, algo::flooding_factory());
+      test::run_async_unit(inst, schedule, algo::flooding_kernel());
   EXPECT_TRUE(result.all_awake());
   EXPECT_EQ(result.wake_time[1], 1u);
   EXPECT_EQ(result.wake_time[2], 7u);

@@ -21,8 +21,7 @@
 #include "algo/ranked_dfs.hpp"
 #include "algo/sleeping.hpp"
 #include "graph/generators.hpp"
-#include "sim/async_engine.hpp"
-#include "sim/sync_engine.hpp"
+#include "sim/kernel.hpp"
 #include "sim/trace.hpp"
 
 namespace {
@@ -61,17 +60,21 @@ struct AsyncScenario {
   std::unique_ptr<sim::DelayPolicy> delays;
   sim::WakeSchedule schedule;
   std::uint64_t seed;
-  sim::ProcessFactory factory;
+  sim::KernelRunner kernel;
 };
 
 std::string run_async_digest(const AsyncScenario& s,
                              sim::EventQueue::Mode mode) {
   std::ostringstream trace;
   sim::CsvTraceSink sink(trace);
-  sim::AsyncEngine engine(s.instance, *s.delays, s.schedule, s.seed);
-  engine.set_trace(&sink);
-  engine.set_event_queue_mode(mode);
-  const auto r = engine.run(s.factory);
+  sim::AsyncKernelArgs args;
+  args.instance = &s.instance;
+  args.delays = s.delays.get();
+  args.schedule = &s.schedule;
+  args.seed = s.seed;
+  args.trace = &sink;
+  args.queue_mode = mode;
+  const auto r = s.kernel.run_async(args);
   return digest(r, trace.str());
 }
 
@@ -83,7 +86,7 @@ AsyncScenario flooding_scenario() {
   Rng irng(101);
   return {sim::Instance::create(std::move(g), opt, irng),
           sim::random_delay(5, 11), sim::wake_single(0), 42,
-          algo::flooding_factory()};
+          algo::flooding_kernel()};
 }
 
 AsyncScenario gossip_scenario() {
@@ -96,7 +99,7 @@ AsyncScenario gossip_scenario() {
   return {sim::Instance::create(std::move(g), opt, irng),
           sim::slow_channels_delay(6, 4, 5),
           sim::staggered_doubling(40, 3, 2.0, srng), 43,
-          algo::push_gossip_factory(20)};
+          algo::push_gossip_kernel(20)};
 }
 
 AsyncScenario ranked_dfs_scenario() {
@@ -108,7 +111,7 @@ AsyncScenario ranked_dfs_scenario() {
   Rng srng(17);
   return {sim::Instance::create(std::move(g), opt, irng),
           sim::random_delay(7, 99), sim::wake_random_subset(24, 0.25, srng),
-          44, algo::ranked_dfs_factory()};
+          44, algo::ranked_dfs_kernel()};
 }
 
 /// The leader-election announce pass (kDfsLeader) on top of the wake-up
@@ -122,7 +125,7 @@ AsyncScenario leader_scenario() {
   Rng srng(19);
   return {sim::Instance::create(std::move(g), opt, irng),
           sim::random_delay(9, 31), sim::wake_random_subset(30, 0.3, srng),
-          49, algo::ranked_dfs_leader_factory()};
+          49, algo::ranked_dfs_leader_kernel()};
 }
 
 /// The no-discard ablation: every token runs its DFS to completion, so the
@@ -136,7 +139,7 @@ AsyncScenario ranked_dfs_no_discard_scenario() {
   Rng srng(23);
   return {sim::Instance::create(std::move(g), opt, irng),
           sim::random_delay(5, 61), sim::wake_random_subset(20, 0.3, srng),
-          50, algo::ranked_dfs_no_discard_factory()};
+          50, algo::ranked_dfs_no_discard_kernel()};
 }
 
 /// Runs a scenario in every backend and checks the golden hash plus
@@ -200,7 +203,7 @@ TEST(GoldenTraces, SyncFlooding) {
   std::ostringstream trace;
   sim::CsvTraceSink sink(trace);
   const auto r = sim::run_sync(inst, sim::wake_single(3), 45,
-                               algo::flooding_factory(), {}, &sink);
+                               algo::flooding_kernel(), {}, &sink);
   EXPECT_EQ(fnv1a(digest(r, trace.str())), 14962057253583692410ULL);
 }
 
@@ -214,7 +217,7 @@ TEST(GoldenTraces, SyncGossipWithTicks) {
   std::ostringstream trace;
   sim::CsvTraceSink sink(trace);
   const auto r = sim::run_sync(inst, sim::wake_single(0), 46,
-                               algo::push_gossip_factory(10), {}, &sink);
+                               algo::push_gossip_kernel(10), {}, &sink);
   EXPECT_EQ(fnv1a(digest(r, trace.str())), 3706472348911091400ULL);
 }
 
@@ -252,7 +255,7 @@ TEST(GoldenTraces, SyncSleepingMisStaggeredWakeup) {
   Rng srng(29);
   const auto r =
       sim::run_sync(inst, sim::staggered_doubling(40, 2, 2.0, srng), 47,
-                    algo::sleeping_mis_factory(), sleeping_limits(), &sink);
+                    algo::sleeping_mis_kernel(), sleeping_limits(), &sink);
   EXPECT_EQ(fnv1a(sleeping_digest(r, trace.str())), 4340464772212699452ULL);
 }
 
@@ -268,7 +271,7 @@ TEST(GoldenTraces, SyncSleepingMatchingSingleWakeup) {
   sim::CsvTraceSink sink(trace);
   const auto r =
       sim::run_sync(inst, sim::wake_single(5), 48,
-                    algo::sleeping_matching_factory(), sleeping_limits(), &sink);
+                    algo::sleeping_matching_kernel(), sleeping_limits(), &sink);
   EXPECT_EQ(fnv1a(sleeping_digest(r, trace.str())), 14952119359751456757ULL);
 }
 
@@ -288,8 +291,8 @@ TEST(EngineEquivalence, BucketAndHeapBackendsBitIdentical) {
                     sim::random_delay(3 + 5 * trial, 17 * trial + 1),
                     sim::wake_single(static_cast<sim::NodeId>(trial % 5)),
                     2000 + trial,
-                    trial % 2 == 0 ? algo::ranked_dfs_factory()
-                                   : algo::push_gossip_factory(15)};
+                    trial % 2 == 0 ? algo::ranked_dfs_kernel()
+                                   : algo::push_gossip_kernel(15)};
     const auto bucket = run_async_digest(s, sim::EventQueue::Mode::kBuckets);
     const auto heap = run_async_digest(s, sim::EventQueue::Mode::kHeap);
     EXPECT_EQ(bucket, heap) << "trial " << trial;

@@ -26,8 +26,8 @@ struct AlgoSpec {
   Knowledge knowledge;
   Bandwidth bandwidth;
   bool synchronous;
-  // Builds the (possibly advised) instance and the factory.
-  std::function<std::pair<sim::Instance, sim::ProcessFactory>(
+  // Builds the (possibly advised) instance and the family handle.
+  std::function<std::pair<sim::Instance, sim::KernelRunner>(
       const graph::Graph&)>
       setup;
 };
@@ -39,19 +39,19 @@ std::vector<AlgoSpec> algo_specs() {
        [](const graph::Graph& g) {
          return std::make_pair(
              test::make_instance(g, Knowledge::KT0, Bandwidth::CONGEST),
-             algo::flooding_factory());
+             algo::flooding_kernel());
        }});
   specs.push_back(
       {"ranked_dfs", Knowledge::KT1, Bandwidth::LOCAL, false,
        [](const graph::Graph& g) {
          return std::make_pair(test::make_instance(g, Knowledge::KT1),
-                               algo::ranked_dfs_factory());
+                               algo::ranked_dfs_kernel());
        }});
   specs.push_back(
       {"fast_wakeup", Knowledge::KT1, Bandwidth::LOCAL, true,
        [](const graph::Graph& g) {
          return std::make_pair(test::make_instance(g, Knowledge::KT1),
-                               algo::fast_wakeup_factory());
+                               algo::fast_wakeup_kernel());
        }});
   specs.push_back(
       {"fip06", Knowledge::KT0, Bandwidth::CONGEST, false,
@@ -59,7 +59,7 @@ std::vector<AlgoSpec> algo_specs() {
          auto inst =
              test::make_instance(g, Knowledge::KT0, Bandwidth::CONGEST);
          advice::apply_oracle(inst, *advice::fip06_oracle());
-         return std::make_pair(std::move(inst), advice::fip06_factory());
+         return std::make_pair(std::move(inst), advice::fip06_kernel());
        }});
   specs.push_back(
       {"sqrt_threshold", Knowledge::KT0, Bandwidth::CONGEST, false,
@@ -68,7 +68,7 @@ std::vector<AlgoSpec> algo_specs() {
              test::make_instance(g, Knowledge::KT0, Bandwidth::CONGEST);
          advice::apply_oracle(inst, *advice::sqrt_threshold_oracle());
          return std::make_pair(std::move(inst),
-                               advice::sqrt_threshold_factory());
+                               advice::sqrt_threshold_kernel());
        }});
   specs.push_back(
       {"child_encoding", Knowledge::KT0, Bandwidth::CONGEST, false,
@@ -77,7 +77,7 @@ std::vector<AlgoSpec> algo_specs() {
              test::make_instance(g, Knowledge::KT0, Bandwidth::CONGEST);
          advice::apply_oracle(inst, *advice::child_encoding_oracle());
          return std::make_pair(std::move(inst),
-                               advice::child_encoding_factory());
+                               advice::child_encoding_kernel());
        }});
   specs.push_back(
       {"spanner_k2", Knowledge::KT0, Bandwidth::CONGEST, false,
@@ -85,7 +85,7 @@ std::vector<AlgoSpec> algo_specs() {
          auto inst =
              test::make_instance(g, Knowledge::KT0, Bandwidth::CONGEST);
          advice::apply_oracle(inst, *advice::spanner_oracle(2));
-         return std::make_pair(std::move(inst), advice::spanner_factory());
+         return std::make_pair(std::move(inst), advice::spanner_kernel());
        }});
   return specs;
 }
@@ -124,15 +124,15 @@ TEST_P(WakeupMatrix, AllNodesWake) {
   for (const auto& [gname, g] : test::graph_catalog()) {
     // FastWakeUp with a staggered schedule can legitimately exceed the
     // 10*rho window per batch; still must wake everyone.
-    auto [inst, factory] = it->setup(g);
+    auto [inst, kernel] = it->setup(g);
     const auto schedule = make_schedule(param.schedule, g, param.seed);
     sim::RunResult result;
     if (it->synchronous) {
-      result = sim::run_sync(inst, schedule, param.seed, factory);
+      result = sim::run_sync(inst, schedule, param.seed, kernel);
     } else {
       const auto delays = sim::random_delay(4, param.seed * 17 + 1);
       result =
-          sim::run_async(inst, *delays, schedule, param.seed, factory);
+          sim::run_async(inst, *delays, schedule, param.seed, kernel);
     }
     EXPECT_TRUE(result.all_awake())
         << param.algo << " on " << gname << " schedule=" << param.schedule

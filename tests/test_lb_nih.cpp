@@ -5,8 +5,7 @@
 #include "algo/flooding.hpp"
 #include "algo/ranked_dfs.hpp"
 #include "lb/time_restricted.hpp"
-#include "sim/async_engine.hpp"
-#include "sim/sync_engine.hpp"
+#include "sim/kernel.hpp"
 
 namespace rise::lb {
 namespace {
@@ -19,7 +18,7 @@ TEST(NihReduction, FloodingSolvesNihOnKt0Family) {
   const auto delays = sim::unit_delay();
   const auto result =
       sim::run_async(inst, *delays, fam.centers_awake(), 5,
-                     nih_reduction_factory(algo::flooding_factory()));
+                     nih_reduction_kernel(algo::flooding_kernel()));
   EXPECT_TRUE(result.all_awake());
   EXPECT_EQ(nih_correct_count(result, inst, fam), fam.n);
 }
@@ -31,10 +30,10 @@ TEST(NihReduction, CostOverheadIsSmall) {
   const auto inst = make_kt0_instance(fam, rng);
   const auto delays = sim::unit_delay();
   const auto base = sim::run_async(inst, *delays, fam.centers_awake(), 5,
-                                   algo::flooding_factory());
+                                   algo::flooding_kernel());
   const auto wrapped =
       sim::run_async(inst, *delays, fam.centers_awake(), 5,
-                     nih_reduction_factory(algo::flooding_factory()));
+                     nih_reduction_kernel(algo::flooding_kernel()));
   EXPECT_LE(wrapped.metrics.messages, base.metrics.messages + fam.n);
   EXPECT_LE(wrapped.metrics.time_units(), base.metrics.time_units() + 1);
 }
@@ -47,7 +46,7 @@ TEST(NihReduction, Kt1FamilyWithBroadcast) {
   const auto delays = sim::unit_delay();
   const auto result =
       sim::run_async(inst, *delays, fam.family.centers_awake(), 5,
-                     nih_reduction_factory(centers_broadcast_factory()));
+                     nih_reduction_kernel(centers_broadcast_kernel()));
   EXPECT_TRUE(result.all_awake());
   EXPECT_EQ(nih_correct_count(result, inst, fam.family), fam.family.n);
   // Outputs are the *labels* of the crucial neighbors under KT1.
@@ -64,7 +63,7 @@ TEST(NihReduction, RankedDfsSolvesNihToo) {
   const auto delays = sim::unit_delay();
   const auto result =
       sim::run_async(inst, *delays, fam.family.centers_awake(), 5,
-                     nih_reduction_factory(algo::ranked_dfs_factory()));
+                     nih_reduction_kernel(algo::ranked_dfs_kernel()));
   EXPECT_TRUE(result.all_awake());
   EXPECT_EQ(nih_correct_count(result, inst, fam.family), fam.family.n);
 }
@@ -75,7 +74,7 @@ TEST(NihReduction, WorksUnderSyncEngine) {
   const auto inst = make_kt0_instance(fam, rng);
   const auto result =
       sim::run_sync(inst, fam.centers_awake(), 5,
-                    nih_reduction_factory(algo::flooding_factory()));
+                    nih_reduction_kernel(algo::flooding_kernel()));
   EXPECT_TRUE(result.all_awake());
   EXPECT_EQ(nih_correct_count(result, inst, fam), fam.n);
 }
@@ -88,7 +87,7 @@ TEST(NihReduction, IncompleteAlgorithmYieldsIncompleteOutputs) {
   const auto delays = sim::unit_delay();
   const auto result =
       sim::run_async(inst, *delays, fam.centers_awake(), 5,
-                     nih_reduction_factory(ttl_flood_factory(0)));
+                     nih_reduction_kernel(ttl_flood_kernel(0)));
   EXPECT_EQ(nih_correct_count(result, inst, fam), 0u);
   EXPECT_FALSE(result.all_awake());
 }

@@ -9,7 +9,7 @@
 #include "lb/beta_probing.hpp"
 #include "lb/nih.hpp"
 #include "lb/time_restricted.hpp"
-#include "sim/async_engine.hpp"
+#include "sim/kernel.hpp"
 #include "support/stats.hpp"
 
 namespace rise::lb {
@@ -26,7 +26,7 @@ TEST(Theorem1Statistics, ProbingCostConcentratesOnTheCurve) {
       advice::apply_oracle(inst, *beta_probing_oracle(beta));
       const auto delays = sim::unit_delay();
       const auto result = sim::run_async(inst, *delays, fam.centers_awake(),
-                                         seed, beta_probing_factory(beta));
+                                         seed, beta_probing_kernel(beta));
       ASSERT_TRUE(result.all_awake());
       const double curve =
           2.0 * n * std::ceil(static_cast<double>(n + 1) / (1u << beta));
@@ -49,7 +49,7 @@ TEST(Theorem1Statistics, NihAlwaysSolvedRegardlessOfPorts) {
     advice::apply_oracle(inst, *beta_probing_oracle(3));
     const auto delays = sim::unit_delay();
     const auto result = sim::run_async(inst, *delays, fam.centers_awake(),
-                                       seed, beta_probing_factory(3));
+                                       seed, beta_probing_kernel(3));
     EXPECT_EQ(nih_correct_count(result, inst, fam), n) << "seed " << seed;
   }
 }
@@ -65,7 +65,7 @@ TEST(Theorem2Statistics, BroadcastCostIsIdPermutationInvariant) {
     const auto delays = sim::unit_delay();
     const auto result =
         sim::run_async(inst, *delays, fam.family.centers_awake(), seed,
-                       centers_broadcast_factory());
+                       centers_broadcast_kernel());
     ASSERT_TRUE(result.all_awake());
     msgs.add(static_cast<double>(result.metrics.messages));
   }
@@ -86,7 +86,7 @@ TEST(Theorem2Statistics, ExponentEstimateMatchesOneOverK) {
     const auto delays = sim::unit_delay();
     const auto result =
         sim::run_async(inst, *delays, fam.family.centers_awake(), q,
-                       centers_broadcast_factory());
+                       centers_broadcast_kernel());
     log_n.push_back(std::log(static_cast<double>(fam.family.n)));
     log_m.push_back(std::log(static_cast<double>(result.metrics.messages)));
   }

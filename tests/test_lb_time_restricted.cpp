@@ -6,7 +6,7 @@
 
 #include "algo/ranked_dfs.hpp"
 #include "lb/lower_bound_graphs.hpp"
-#include "sim/async_engine.hpp"
+#include "sim/kernel.hpp"
 #include "test_util.hpp"
 
 namespace rise::lb {
@@ -18,7 +18,7 @@ TEST(CentersBroadcast, WakesEveryoneInOneTimeUnit) {
   const auto inst = make_kt1_instance(fam.family, rng);
   const auto delays = sim::unit_delay();
   const auto result = sim::run_async(inst, *delays, fam.family.centers_awake(),
-                                     2, centers_broadcast_factory());
+                                     2, centers_broadcast_kernel());
   EXPECT_TRUE(result.all_awake());
   EXPECT_LE(result.metrics.time_units(), 1.0);
 }
@@ -29,7 +29,7 @@ TEST(CentersBroadcast, MessageCountIsNTimesDegree) {
   const auto inst = make_kt1_instance(fam.family, rng);
   const auto delays = sim::unit_delay();
   const auto result = sim::run_async(inst, *delays, fam.family.centers_awake(),
-                                     2, centers_broadcast_factory());
+                                     2, centers_broadcast_kernel());
   EXPECT_EQ(result.metrics.messages,
             static_cast<std::uint64_t>(fam.family.n) * fam.center_degree);
 }
@@ -43,7 +43,7 @@ TEST(CentersBroadcast, MatchesN1Plus1OverKScaling) {
     const auto delays = sim::unit_delay();
     const auto result =
         sim::run_async(inst, *delays, fam.family.centers_awake(), 2,
-                       centers_broadcast_factory());
+                       centers_broadcast_kernel());
     const double n = fam.family.n;
     const double predicted = n * (std::pow(n, 1.0 / 3) + 1);
     EXPECT_NEAR(static_cast<double>(result.metrics.messages), predicted,
@@ -56,7 +56,7 @@ TEST(TtlFlood, TtlZeroSendsNothing) {
   const auto g = graph::path(5);
   const auto inst = test::make_instance(g, sim::Knowledge::KT1);
   const auto result =
-      test::run_async_unit(inst, sim::wake_single(0), ttl_flood_factory(0));
+      test::run_async_unit(inst, sim::wake_single(0), ttl_flood_kernel(0));
   EXPECT_EQ(result.metrics.messages, 0u);
   EXPECT_EQ(result.awake_count(), 1u);
 }
@@ -66,7 +66,7 @@ TEST(TtlFlood, TtlRWakesRadiusR) {
   const auto inst = test::make_instance(g, sim::Knowledge::KT1);
   for (std::uint32_t ttl : {1u, 3u, 5u}) {
     const auto result = test::run_async_unit(inst, sim::wake_single(0),
-                                             ttl_flood_factory(ttl));
+                                             ttl_flood_kernel(ttl));
     EXPECT_EQ(result.awake_count(), ttl + 1) << "ttl=" << ttl;
   }
 }
@@ -76,7 +76,7 @@ TEST(TtlFlood, FullTtlEqualsFlooding) {
   const auto g = graph::connected_gnp(50, 0.1, rng);
   const auto inst = test::make_instance(g, sim::Knowledge::KT1);
   const auto result = test::run_async_unit(inst, sim::wake_single(0),
-                                           ttl_flood_factory(1000));
+                                           ttl_flood_kernel(1000));
   EXPECT_TRUE(result.all_awake());
 }
 
@@ -90,9 +90,9 @@ TEST(TradeOff, UnrestrictedTimeBeatsBroadcastOnMessages) {
 
   const auto broadcast =
       sim::run_async(inst, *delays, fam.family.centers_awake(), 2,
-                     centers_broadcast_factory());
+                     centers_broadcast_kernel());
   const auto dfs = sim::run_async(inst, *delays, fam.family.centers_awake(),
-                                  2, algo::ranked_dfs_factory());
+                                  2, algo::ranked_dfs_kernel());
   ASSERT_TRUE(broadcast.all_awake());
   ASSERT_TRUE(dfs.all_awake());
   EXPECT_LE(broadcast.metrics.time_units(), 1.0);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -286,6 +287,48 @@ TEST(ThreadPoolChunks, PoolChunkExecutorUsesPool) {
   ChunkFlags flags(200);
   executor.run(200, &ChunkFlags::mark, &flags);
   for (auto& h : flags.hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(AdmissionGate, CapsConcurrentTasksAtTheLimit) {
+  // The campaign / hunt shape with trial_jobs = 3: a pool of jobs x 3
+  // threads, at most `jobs` tasks admitted at once, the rest of the pool
+  // left for round chunks.
+  constexpr std::size_t kJobs = 2;
+  ThreadPool pool(kJobs * 3);
+  AdmissionGate gate(pool, kJobs);
+  std::mutex mu;
+  std::size_t running = 0;
+  std::size_t peak = 0;
+  std::atomic<int> done{0};
+  for (int i = 0; i < 60; ++i) {
+    gate.submit([&] {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        peak = std::max(peak, ++running);
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        --running;
+      }
+      done.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  pool.wait_idle();
+  EXPECT_EQ(done.load(), 60);
+  EXPECT_GE(peak, 1u);
+  EXPECT_LE(peak, kJobs);
+}
+
+TEST(AdmissionGate, ZeroLimitSubmitsStraightToThePool) {
+  ThreadPool pool(3);
+  AdmissionGate gate(pool, 0);
+  std::atomic<int> count{0};
+  for (int i = 0; i < 100; ++i) {
+    gate.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+  }
+  pool.wait_idle();
+  EXPECT_EQ(count.load(), 100);
 }
 
 }  // namespace

@@ -266,6 +266,25 @@ TEST(HuntSearch, DeterministicAcrossThreadCounts) {
   }
 }
 
+TEST(HuntSearch, AdmissionGatedTrialJobsKeepTheHuntBitIdentical) {
+  // --jobs 2 --trial-jobs 3: a pool of six threads, at most two evaluations
+  // in flight (runner::AdmissionGate), for the generations and the random
+  // baseline alike.
+  HuntOptions serial = small_hunt();
+  serial.jobs = 1;
+  HuntOptions gated = small_hunt();
+  gated.jobs = 2;
+  gated.trial_jobs = 3;
+  const HuntReport a = run_hunt(serial);
+  const HuntReport b = run_hunt(gated);
+  EXPECT_EQ(b.jobs, 2u);
+  EXPECT_EQ(a.champion.spec.graph, b.champion.spec.graph);
+  EXPECT_EQ(a.champion_value, b.champion_value);
+  EXPECT_EQ(a.champion_digest, b.champion_digest);
+  EXPECT_EQ(a.baseline_value, b.baseline_value);
+  EXPECT_EQ(a.trajectory.size(), b.trajectory.size());
+}
+
 TEST(HuntSearch, BestSoFarIsMonotoneAndChampionIsFinal) {
   const HuntReport report = run_hunt(small_hunt());
   EXPECT_EQ(report.evaluations, 24u);

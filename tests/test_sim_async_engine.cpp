@@ -1,4 +1,4 @@
-#include "sim/async_engine.hpp"
+#include "sim/kernel.hpp"
 
 #include <gtest/gtest.h>
 
@@ -44,9 +44,9 @@ TEST(AsyncEngine, FifoUnderAdversarialDelays) {
   const auto delays = random_delay(50, 333);
   const auto result = run_async(
       inst, *delays, wake_single(0), 1,
-      [&log](graph::NodeId u) {
+      make_kernel(ProcessAlgorithm{[&log](graph::NodeId u) {
         return std::make_unique<Numbered>(u == 0 ? 64 : 0, &log);
-      });
+      }}));
   ASSERT_EQ(log.size(), 64u);
   for (std::uint64_t i = 0; i < 64; ++i) EXPECT_EQ(log[i], i);
 }
@@ -56,7 +56,7 @@ TEST(AsyncEngine, MessageWakesSleepingNode) {
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   const auto delays = unit_delay();
   const auto result =
-      run_async(inst, *delays, wake_single(0), 1, algo::flooding_factory());
+      run_async(inst, *delays, wake_single(0), 1, algo::flooding_kernel());
   EXPECT_TRUE(result.all_awake());
   EXPECT_EQ(result.wake_time[0], 0u);
   EXPECT_EQ(result.wake_time[1], 1u);
@@ -69,7 +69,7 @@ TEST(AsyncEngine, TimeUnitsNormalizedByTau) {
   for (Time tau : {1ull, 4ull, 9ull}) {
     const auto delays = fixed_delay(tau);
     const auto result =
-        run_async(inst, *delays, wake_single(0), 1, algo::flooding_factory());
+        run_async(inst, *delays, wake_single(0), 1, algo::flooding_kernel());
     EXPECT_TRUE(result.all_awake());
     // 10 hops to the far end plus the final echo back — the paper counts
     // until the last message is *received*.
@@ -82,7 +82,7 @@ TEST(AsyncEngine, CountsMessagesAndBits) {
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   const auto delays = unit_delay();
   const auto result =
-      run_async(inst, *delays, wake_all(5), 1, algo::flooding_factory());
+      run_async(inst, *delays, wake_all(5), 1, algo::flooding_kernel());
   // Every node broadcasts once: 5 * 4 messages of 8 bits.
   EXPECT_EQ(result.metrics.messages, 20u);
   EXPECT_EQ(result.metrics.bits, 160u);
@@ -97,7 +97,7 @@ TEST(AsyncEngine, AdversaryWakeOfAwakeNodeIsIgnored) {
   schedule.wakes = {{0, 0}, {5, 0}, {3, 1}};
   const auto delays = unit_delay();
   const auto result =
-      run_async(inst, *delays, schedule, 1, algo::flooding_factory());
+      run_async(inst, *delays, schedule, 1, algo::flooding_kernel());
   EXPECT_EQ(result.wake_time[0], 0u);
   EXPECT_EQ(result.wake_time[1], 1u);  // woken by message before round 3
 }
@@ -110,7 +110,7 @@ TEST(AsyncEngine, LateAdversaryWake) {
   schedule.wakes = {{0, 0}, {100, 2}};
   const auto delays = unit_delay();
   const auto result =
-      run_async(inst, *delays, schedule, 1, algo::flooding_factory());
+      run_async(inst, *delays, schedule, 1, algo::flooding_kernel());
   EXPECT_EQ(result.wake_time[2], 100u);
   EXPECT_TRUE(result.all_awake());
 }
@@ -130,7 +130,9 @@ TEST(AsyncEngine, CongestViolationThrows) {
     };
     return std::make_unique<Fat>();
   };
-  EXPECT_THROW(run_async(inst, *delays, wake_single(0), 1, fat), CheckError);
+  EXPECT_THROW(run_async(inst, *delays, wake_single(0), 1,
+                         make_kernel(ProcessAlgorithm{fat})),
+               CheckError);
 }
 
 TEST(AsyncEngine, DeterministicAcrossRuns) {
@@ -139,9 +141,9 @@ TEST(AsyncEngine, DeterministicAcrossRuns) {
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   const auto delays = random_delay(7, 99);
   const auto r1 =
-      run_async(inst, *delays, wake_single(3), 42, algo::flooding_factory());
+      run_async(inst, *delays, wake_single(3), 42, algo::flooding_kernel());
   const auto r2 =
-      run_async(inst, *delays, wake_single(3), 42, algo::flooding_factory());
+      run_async(inst, *delays, wake_single(3), 42, algo::flooding_kernel());
   EXPECT_EQ(r1.metrics.messages, r2.metrics.messages);
   EXPECT_EQ(r1.wake_time, r2.wake_time);
 }
@@ -167,7 +169,8 @@ TEST(AsyncEngine, MaxEventsLimitEnforced) {
   RunLimits limits;
   limits.max_events = 1000;
   EXPECT_THROW(
-      run_async(inst, *delays, wake_single(0), 1, pingpong, limits),
+      run_async(inst, *delays, wake_single(0), 1,
+                make_kernel(ProcessAlgorithm{pingpong}), limits),
       CheckError);
 }
 
@@ -181,7 +184,7 @@ TEST(AsyncEngine, MaxTimeDropsDeliveriesButChargesSends) {
   limits.max_time = 3;
   CountingSink sink;
   const auto result = run_async(inst, *delays, wake_single(0), 1,
-                                algo::flooding_factory(), limits, &sink);
+                                algo::flooding_kernel(), limits, &sink);
   EXPECT_EQ(result.metrics.messages, 1u);
   EXPECT_EQ(result.metrics.bits, 8u);
   EXPECT_EQ(result.metrics.sent_per_node[0], 1u);
@@ -201,13 +204,13 @@ TEST(AsyncEngine, DeliveriesNeverExceedMessagesUnderTruncation) {
   const Instance inst = test::make_instance(g, Knowledge::KT0);
   const auto delays = random_delay(6, 5);
   const auto full = run_async(inst, *delays, wake_single(0), 9,
-                              algo::flooding_factory());
+                              algo::flooding_kernel());
   EXPECT_EQ(full.metrics.deliveries, full.metrics.messages);
   for (Time horizon : {0ull, 1ull, 3ull, 7ull, 15ull}) {
     RunLimits limits;
     limits.max_time = horizon;
     const auto r = run_async(inst, *delays, wake_single(0), 9,
-                             algo::flooding_factory(), limits);
+                             algo::flooding_kernel(), limits);
     EXPECT_LE(r.metrics.deliveries, r.metrics.messages)
         << "horizon " << horizon;
     EXPECT_LE(r.metrics.last_delivery, horizon) << "horizon " << horizon;
@@ -238,7 +241,9 @@ TEST(AsyncEngine, KT0ContextHidesNeighborLabels) {
     return std::make_unique<Nosy>();
   };
   const auto delays = unit_delay();
-  EXPECT_THROW(run_async(inst, *delays, wake_single(0), 1, nosy), CheckError);
+  EXPECT_THROW(run_async(inst, *delays, wake_single(0), 1,
+                         make_kernel(ProcessAlgorithm{nosy})),
+               CheckError);
 }
 
 }  // namespace

@@ -4,10 +4,11 @@
 // two generated paths — the flat kernel and one virtual Process per node —
 // which must be *bit-identical*: same RNG draws, same message encodings,
 // same trace, same metrics. These tests pin that equivalence by running
-// each family through app::execute_prepared twice — once on the kernel
-// path (the default) and once with RunInstruments::use_virtual_processes —
-// and comparing full-run digests: the complete CSV trace plus wake times,
-// outputs, and every metrics counter.
+// each family through app::execute_prepared twice — once on the prepared
+// kernel and once with the prepared handle replaced by
+// make_kernel(ProcessAlgorithm{kernel.process_factory()}) — and comparing
+// full-run digests: the complete CSV trace plus wake times, outputs, and
+// every metrics counter.
 //
 // Coverage axes: every algorithm family (including the sleeping-model
 // smis/smatching pair, whose digests fold in per-node awake rounds and
@@ -30,6 +31,7 @@
 
 #include "app/spec.hpp"
 #include "runner/thread_pool.hpp"
+#include "sim/kernel.hpp"
 #include "sim/parallel.hpp"
 #include "sim/trace.hpp"
 #include "sim/workspace.hpp"
@@ -79,10 +81,13 @@ std::string run_digest(const app::ExperimentSpec& spec,
   instruments.trace = &sink;
   instruments.queue_mode = config.queue_mode;
   instruments.force_sync_engine = config.force_sync_engine;
-  instruments.use_virtual_processes = config.use_virtual_processes;
   instruments.trial_jobs = config.trial_jobs;
   instruments.trial_executor = config.trial_executor;
-  const app::PreparedExperiment prepared = app::prepare_experiment(spec);
+  app::PreparedExperiment prepared = app::prepare_experiment(spec);
+  if (config.use_virtual_processes) {
+    prepared.kernel = sim::make_kernel(
+        sim::ProcessAlgorithm{prepared.kernel.process_factory()});
+  }
   const app::ExperimentReport report =
       app::execute_prepared(prepared, spec, instruments, config.workspace);
   return digest(report.result, trace.str());

@@ -1,4 +1,4 @@
-#include "sim/sync_engine.hpp"
+#include "sim/kernel.hpp"
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,7 @@ TEST(SyncEngine, FloodingAdvancesOneHopPerRound) {
   const auto g = graph::path(6);
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   const auto result =
-      run_sync(inst, wake_single(0), 1, algo::flooding_factory());
+      run_sync(inst, wake_single(0), 1, algo::flooding_kernel());
   EXPECT_TRUE(result.all_awake());
   for (graph::NodeId u = 0; u < 6; ++u) {
     EXPECT_EQ(result.wake_time[u], u);  // delivered at start of round u
@@ -43,7 +43,7 @@ TEST(SyncEngine, LocalRoundCounterStartsAtOne) {
     };
     return std::make_unique<P>(&observed);
   };
-  run_sync(inst, wake_single(1), 1, probe);
+  run_sync(inst, wake_single(1), 1, make_kernel(ProcessAlgorithm{probe}));
   ASSERT_EQ(observed.size(), 3u);
   EXPECT_EQ(observed[0], 1u);
   EXPECT_EQ(observed[1], 2u);
@@ -73,7 +73,7 @@ TEST(SyncEngine, NoGlobalClockForLateWakers) {
   };
   WakeSchedule schedule;
   schedule.wakes = {{0, 0}, {50, 1}};
-  run_sync(inst, schedule, 1, probe);
+  run_sync(inst, schedule, 1, make_kernel(ProcessAlgorithm{probe}));
   ASSERT_EQ(observed.size(), 2u);
   EXPECT_EQ(observed[0], (std::pair<graph::NodeId, std::uint64_t>{0, 1}));
   EXPECT_EQ(observed[1], (std::pair<graph::NodeId, std::uint64_t>{1, 1}));
@@ -83,7 +83,7 @@ TEST(SyncEngine, MessagesDeliveredNextRound) {
   const auto g = graph::path(2);
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   const auto result =
-      run_sync(inst, wake_single(0), 1, algo::flooding_factory());
+      run_sync(inst, wake_single(0), 1, algo::flooding_kernel());
   EXPECT_EQ(result.wake_time[1], 1u);
   // Node 1's own broadcast echoes back to node 0 in round 2.
   EXPECT_EQ(result.metrics.last_delivery, 2u);
@@ -111,7 +111,8 @@ TEST(SyncEngine, InboxBatchesAllSendersOfPreviousRound) {
     };
     return std::make_unique<P>(&hub_batch, node == 0);
   };
-  run_sync(inst, wake_set({1, 2, 3, 4}), 1, probe);
+  run_sync(inst, wake_set({1, 2, 3, 4}), 1,
+           make_kernel(ProcessAlgorithm{probe}));
   EXPECT_EQ(hub_batch, 4u);
 }
 
@@ -119,7 +120,7 @@ TEST(SyncEngine, QuiescesWithoutTicksOrMessages) {
   const auto g = graph::path(4);
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   const auto result =
-      run_sync(inst, wake_single(0), 1, algo::flooding_factory());
+      run_sync(inst, wake_single(0), 1, algo::flooding_kernel());
   EXPECT_LE(result.metrics.rounds, 5u);  // 3 hops + final echo round
 }
 
@@ -131,7 +132,7 @@ TEST(SyncEngine, FastForwardsIdleGaps) {
   SyncRunLimits limits;
   limits.max_rounds = 2'000'000;  // would time out without fast-forward
   const auto result =
-      run_sync(inst, schedule, 1, algo::flooding_factory(), limits);
+      run_sync(inst, schedule, 1, algo::flooding_kernel(), limits);
   EXPECT_EQ(result.wake_time[1], 1u);  // woken by flooding long before
 }
 
@@ -150,15 +151,17 @@ TEST(SyncEngine, MaxRoundsEnforced) {
   };
   SyncRunLimits limits;
   limits.max_rounds = 100;
-  EXPECT_THROW(run_sync(inst, wake_single(0), 1, forever, limits), CheckError);
+  EXPECT_THROW(run_sync(inst, wake_single(0), 1,
+                        make_kernel(ProcessAlgorithm{forever}), limits),
+               CheckError);
 }
 
 TEST(SyncEngine, DeterministicAcrossRuns) {
   Rng rng(5);
   const auto g = graph::connected_gnp(30, 0.15, rng);
   const Instance inst = test::make_instance(g, Knowledge::KT1);
-  const auto r1 = run_sync(inst, wake_single(7), 9, algo::flooding_factory());
-  const auto r2 = run_sync(inst, wake_single(7), 9, algo::flooding_factory());
+  const auto r1 = run_sync(inst, wake_single(7), 9, algo::flooding_kernel());
+  const auto r2 = run_sync(inst, wake_single(7), 9, algo::flooding_kernel());
   EXPECT_EQ(r1.wake_time, r2.wake_time);
   EXPECT_EQ(r1.metrics.messages, r2.metrics.messages);
 }
@@ -196,12 +199,17 @@ TEST(SyncEngine, RoundParallelRaisesTheErrorTheSerialLoopReachesFirst) {
       };
       return std::make_unique<P>(node == fat_node, node == 3);
     };
+    const KernelRunner kernel = make_kernel(ProcessAlgorithm{two_faults});
+    const WakeSchedule schedule = wake_all(4);
     const auto error_at = [&](std::uint32_t jobs,
                               ChunkExecutor* executor) -> std::string {
-      SyncEngine engine(inst, wake_all(4), 1);
-      engine.set_parallel({executor, jobs});
+      SyncKernelArgs args;
+      args.instance = &inst;
+      args.schedule = &schedule;
+      args.seed = 1;
+      args.parallel = {executor, jobs};
       try {
-        engine.run(two_faults);
+        kernel.run_sync(args);
       } catch (const CheckError& e) {
         return e.what();
       }

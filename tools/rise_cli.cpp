@@ -324,24 +324,6 @@ int run_fuzz_command(int argc, char** argv) {
 
 bool ensure_writable(const std::string& path);
 
-/// The fuzzer's scenario family for an algorithm spec (reporting only).
-std::string family_for_algorithm(const std::string& algorithm) {
-  const std::string family = algorithm.substr(0, algorithm.find(':'));
-  if (family == "flooding" || family == "ttl") return "flooding";
-  if (family == "ranked_dfs" || family == "ranked_dfs_nodiscard" ||
-      family == "ranked_dfs_congest" || family == "leader") {
-    return "ranked_dfs";
-  }
-  if (family == "fast_wakeup") return "fast_wakeup";
-  if (family == "gossip") return "gossip";
-  if (family == "smis" || family == "smatching") return "sleeping";
-  if (family == "fip06" || family == "sqrt" || family == "cen" ||
-      family == "cen_chain" || family == "spanner" || family == "cor2") {
-    return "advice";
-  }
-  return "";
-}
-
 int run_hunt_command(int argc, char** argv) {
   using namespace rise;
   search::HuntOptions options;
@@ -420,7 +402,7 @@ int run_hunt_command(int argc, char** argv) {
   // genome's engine seed, so `hunt --seed S` is one reproducible experiment.
   if (seed_set) options.initial.spec.seed = options.seed;
   options.initial.family =
-      family_for_algorithm(options.initial.spec.algorithm);
+      check::scenario_family_of(options.initial.spec.algorithm);
 
   const search::HuntReport report = search::run_hunt(options);
   std::fputs(search::format_hunt(report).c_str(), stdout);
