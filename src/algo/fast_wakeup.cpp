@@ -1,9 +1,31 @@
+// FastWakeUp's per-node state is flat: no std::map, std::set or
+// per-message std::vector.
+//
+//   * A level-1 or level-2 tree membership is a small record or a flag in
+//     the node's State; a root's tables (the neighbour lists its level-1
+//     and level-2 nodes report, and the labels S2 assigned) live behind one
+//     pointer that only roots allocate.
+//   * Every label list is a Group — a key plus a [begin, begin + count)
+//     slice of one pool vector — and received payloads are read in place
+//     as spans.
+//   * compute_s2 / compute_s3 deduplicate candidate labels with one sort on
+//     per-thread buffers that are reused from root to root.
+//
+// The send order is fixed by label orders, exactly as the std::map
+// version's iteration was: S2 assignments go to level-1 nodes in ascending
+// label order, S2 candidates are taken from the level-1 lists in that
+// order, S3 candidates from the level-2 lists in ascending level-2 label
+// order, and every grouped payload (a level-1 node's forwarded lists, a
+// root's S3 slice for one level-1 node) lists its groups in ascending key
+// order. Charged bits are unchanged: 16 + label_bits * (1 + labels), where
+// a grouped payload counts each group's key with its labels.
 #include "algo/fast_wakeup.hpp"
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <set>
+#include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "support/check.hpp"
@@ -17,8 +39,37 @@ using sim::Label;
 using sim::Message;
 using sim::Port;
 
+/// One keyed label list of a flat table: `key`'s labels are
+/// pool[begin, begin + count) of the pool the table is paired with.
+struct Group {
+  Label key = 0;
+  Label parent = 0;  ///< a root's level-2 lists: the level-1 node that sent it
+  std::uint32_t begin = 0;
+  std::uint32_t count = 0;
+};
+
+/// Appends `labels` to `pool` as a new group of `groups`.
+void append_group(std::vector<Group>& groups, std::vector<Label>& pool,
+                  Label key, std::span<const Label> labels,
+                  Label parent = 0) {
+  groups.push_back(Group{key, parent, static_cast<std::uint32_t>(pool.size()),
+                         static_cast<std::uint32_t>(labels.size())});
+  pool.insert(pool.end(), labels.begin(), labels.end());
+}
+
+std::span<const Label> labels_of(const Group& g,
+                                 const std::vector<Label>& pool) {
+  return {pool.data() + g.begin, g.count};
+}
+
+void sort_by_key(std::vector<Group>& groups) {
+  std::sort(groups.begin(), groups.end(),
+            [](const Group& a, const Group& b) { return a.key < b.key; });
+}
+
+/// Payload [root, count, labels...].
 Message labels_message(std::uint32_t type, Label root,
-                       const std::vector<Label>& labels, unsigned label_bits) {
+                       std::span<const Label> labels, unsigned label_bits) {
   sim::PayloadWords payload;
   payload.reserve(2 + labels.size());
   payload.push_back(root);
@@ -28,44 +79,90 @@ Message labels_message(std::uint32_t type, Label root,
                            16 + label_bits * (1 + labels.size()));
 }
 
-/// Grouped payload: [root, #groups, (key, count, labels...) ...].
+/// Grouped payload [root, #groups, (key, count, labels...) ...], groups in
+/// the given order.
 Message groups_message(std::uint32_t type, Label root,
-                       const std::map<Label, std::vector<Label>>& groups,
-                       unsigned label_bits) {
-  sim::PayloadWords payload{root, groups.size()};
-  std::uint64_t label_count = 1;
-  for (const auto& [key, labels] : groups) {
-    payload.push_back(key);
-    payload.push_back(labels.size());
+                       std::span<const Group> groups,
+                       const std::vector<Label>& pool, unsigned label_bits) {
+  std::size_t words = 2;
+  std::uint64_t label_count = 1;  // the root, then each key and its labels
+  for (const Group& g : groups) {
+    words += 2 + g.count;
+    label_count += 1 + g.count;
+  }
+  sim::PayloadWords payload;
+  payload.reserve(words);
+  payload.push_back(root);
+  payload.push_back(groups.size());
+  for (const Group& g : groups) {
+    payload.push_back(g.key);
+    payload.push_back(g.count);
+    const std::span<const Label> labels = labels_of(g, pool);
     payload.append(labels.begin(), labels.end());
-    label_count += 1 + labels.size();
   }
   return sim::make_message(type, std::move(payload),
                            16 + label_bits * label_count);
 }
 
-std::vector<Label> parse_labels(const Message& msg) {
+/// The label list of a labels_message, read in place.
+std::span<const Label> labels_of(const Message& msg) {
   RISE_CHECK(msg.payload.size() >= 2);
-  const std::uint64_t count = msg.payload[1];
-  RISE_CHECK(msg.payload.size() == 2 + count);
+  RISE_CHECK(msg.payload.size() == 2 + msg.payload[1]);
   return {msg.payload.begin() + 2, msg.payload.end()};
 }
 
-std::map<Label, std::vector<Label>> parse_groups(const Message& msg) {
-  RISE_CHECK(msg.payload.size() >= 2);
-  std::map<Label, std::vector<Label>> groups;
+/// Calls fn(key, labels) for each group of a groups_message, in payload
+/// order, reading the labels in place.
+template <class Fn>
+void for_each_group(const Message& msg, Fn&& fn) {
+  const sim::PayloadWords& w = msg.payload;
+  RISE_CHECK(w.size() >= 2);
   std::size_t i = 2;
-  for (std::uint64_t g = 0; g < msg.payload[1]; ++g) {
-    RISE_CHECK(i + 2 <= msg.payload.size());
-    const Label key = msg.payload[i++];
-    const std::uint64_t count = msg.payload[i++];
-    RISE_CHECK(i + count <= msg.payload.size());
-    groups[key].assign(msg.payload.begin() + static_cast<std::ptrdiff_t>(i),
-                       msg.payload.begin() + static_cast<std::ptrdiff_t>(i + count));
+  for (std::uint64_t g = 0; g < w[1]; ++g) {
+    RISE_CHECK(i + 2 <= w.size());
+    const Label key = w[i];
+    const std::uint64_t count = w[i + 1];
+    i += 2;
+    RISE_CHECK(i + count <= w.size());
+    fn(key, std::span<const Label>(w.begin() + i, count));
     i += count;
   }
-  RISE_CHECK(i == msg.payload.size());
-  return groups;
+  RISE_CHECK(i == w.size());
+}
+
+/// Buffers for compute_s2 / compute_s3, reused by every root a thread
+/// steps, so a warm thread deduplicates without allocating.
+struct Scratch {
+  std::vector<Label> known;       ///< labels already in the tree
+  std::vector<Label> candidates;  ///< in the order they are considered
+  std::vector<std::pair<Label, std::uint32_t>> order;
+  std::vector<std::uint8_t> keep;
+  std::vector<Group> groups;      ///< compute_s3's output groups
+  std::vector<Label> pool;
+};
+
+Scratch& scratch() {
+  static thread_local Scratch s;
+  return s;
+}
+
+/// Sets s.keep[i] iff s.candidates[i] is not in s.known and no earlier
+/// candidate has its label: the candidates a growing "known" set would
+/// admit, walked in candidate order. One sort of (label, position) pairs,
+/// in which known labels take position 0 and so sort first.
+void keep_first_unknown(Scratch& s) {
+  s.order.clear();
+  for (const Label k : s.known) s.order.emplace_back(k, 0);
+  for (std::size_t i = 0; i < s.candidates.size(); ++i) {
+    s.order.emplace_back(s.candidates[i], static_cast<std::uint32_t>(i + 1));
+  }
+  std::sort(s.order.begin(), s.order.end());
+  s.keep.assign(s.candidates.size(), 0);
+  for (std::size_t i = 0; i < s.order.size();) {
+    const Label label = s.order[i].first;
+    if (s.order[i].second != 0) s.keep[s.order[i].second - 1] = 1;
+    while (i < s.order.size() && s.order[i].first == label) ++i;
+  }
 }
 
 /// Synchronous-engine only.
@@ -80,26 +177,26 @@ struct FastWakeup {
     kDeactivated,
   };
 
-  struct RootState {
-    std::map<Label, std::vector<Label>> l1_lists;   // L1 label -> its nbrs
-    std::map<Label, std::vector<Label>> s2_assign;  // L1 label -> L2 children
-    std::map<Label, Label> l2_parent;               // L2 label -> L1 parent
-    std::size_t expected_l1 = 0;
+  /// What a root keeps while its tree is built.
+  struct RootTables {
+    std::vector<Group> l1_lists;  ///< level-1 label -> its neighbour list
+    std::vector<Group> l2_lists;  ///< level-2 label -> its neighbour list
+    std::vector<Label> pool;      ///< both tables' lists
+    std::vector<Label> level2;    ///< every label S2 assigned
     std::size_t expected_fwd = 0;
-    std::map<Label, std::vector<Label>> l2_lists;   // L2 label -> its nbrs
+    std::size_t fwd_received = 0;
     bool s2_done = false;
     bool s3_done = false;
   };
 
-  struct L1State {
+  /// A node's membership at level 1 of one root's tree.
+  struct L1Role {
+    Label root = 0;
     Port parent = sim::kInvalidPort;
-    std::vector<Label> children;                    // assigned L2 children
-    std::map<Label, std::vector<Label>> collected;  // child -> its nbr list
+    std::uint32_t num_children = 0;  ///< level-2 children S2 assigned here
     bool forwarded = false;
-  };
-
-  struct L2State {
-    Port parent = sim::kInvalidPort;
+    std::vector<Group> collected;    ///< child label -> its neighbour list
+    std::vector<Label> pool;
   };
 
   struct State {
@@ -108,13 +205,27 @@ struct FastWakeup {
     bool woke_by_message = false;
     bool is_root = false;
     bool broadcasted = false;
+    bool l2_member = false;  ///< joined some tree at level 2
     std::uint64_t activation_round = 0;
     std::uint64_t deact_deadline = sim::kNever;
-    RootState root_state;
-    std::size_t fwd_received = 0;
-    std::map<Label, L1State> l1_states;
-    std::map<Label, L2State> l2_states;
+    std::unique_ptr<RootTables> root;  ///< roots only
+    std::vector<L1Role> l1_roles;
   };
+
+  static RootTables& root_tables(State& self) {
+    RISE_CHECK_MSG(self.root != nullptr,
+                   "FastWakeup: tree report at a node that is no root");
+    return *self.root;
+  }
+
+  static L1Role& l1_role(State& self, Label root) {
+    const auto it = std::find_if(
+        self.l1_roles.begin(), self.l1_roles.end(),
+        [root](const L1Role& r) { return r.root == root; });
+    RISE_CHECK_MSG(it != self.l1_roles.end(),
+                   "FastWakeup: no level-1 membership for root " << root);
+    return *it;
+  }
 
   template <class Ctx>
   void on_wake(Ctx&, State& self, sim::WakeCause cause) const {
@@ -190,13 +301,13 @@ struct FastWakeup {
     obs_probe.phase("fw.tree");
     obs_probe.node_class("root");
     obs_probe.count("fw.roots_sampled");
-    self.root_state.expected_l1 = ctx.degree();
+    self.root = std::make_unique<RootTables>();
     const Label me = ctx.my_label();
     for (Port p = 0; p < ctx.degree(); ++p) {
       ctx.send(p, sim::make_message(kFwInvite1, {me},
                                     16 + ctx.label_bits()));
     }
-    if (self.root_state.expected_l1 == 0) {
+    if (ctx.degree() == 0) {
       compute_s2(ctx, self);  // degenerate isolated root
     }
   }
@@ -211,29 +322,30 @@ struct FastWakeup {
         obs_probe.phase("fw.tree");
         obs_probe.node_class("l1");
         obs_probe.count("fw.l1_joins");
-        L1State& st = self.l1_states[root];
-        st.parent = in.port;
+        L1Role& role = self.l1_roles.emplace_back();
+        role.root = root;
+        role.parent = in.port;
         schedule_tree_deactivation(ctx, self, /*rounds_to_completion=*/8);
-        std::vector<Label> nbrs(ctx.neighbor_labels().begin(),
-                                ctx.neighbor_labels().end());
-        ctx.send(in.port, labels_message(kFwNbrList1, root, nbrs,
+        ctx.send(in.port, labels_message(kFwNbrList1, root,
+                                         ctx.neighbor_labels(),
                                          ctx.label_bits()));
         break;
       }
       case kFwNbrList1: {
-        const Label sender = ctx.neighbor_labels()[in.port];
-        self.root_state.l1_lists[sender] = parse_labels(in.msg);
-        if (self.root_state.l1_lists.size() == self.root_state.expected_l1 &&
-            !self.root_state.s2_done) {
+        RootTables& t = root_tables(self);
+        append_group(t.l1_lists, t.pool, ctx.neighbor_labels()[in.port],
+                     labels_of(in.msg));
+        if (t.l1_lists.size() == ctx.degree() && !t.s2_done) {
           compute_s2(ctx, self);
         }
         break;
       }
       case kFwS2Assign: {
         const Label root = in.msg.payload[0];
-        L1State& st = self.l1_states[root];
-        st.children = parse_labels(in.msg);
-        for (Label child : st.children) {
+        const std::span<const Label> children = labels_of(in.msg);
+        l1_role(self, root).num_children =
+            static_cast<std::uint32_t>(children.size());
+        for (Label child : children) {
           ctx.send_to_label(child,
                             sim::make_message(kFwInvite2, {root},
                                               16 + ctx.label_bits()));
@@ -247,48 +359,52 @@ struct FastWakeup {
         obs_probe.phase("fw.tree");
         obs_probe.node_class("l2");
         obs_probe.count("fw.l2_joins");
-        self.l2_states[root].parent = in.port;
+        self.l2_member = true;
         schedule_tree_deactivation(ctx, self, /*rounds_to_completion=*/5);
-        std::vector<Label> nbrs(ctx.neighbor_labels().begin(),
-                                ctx.neighbor_labels().end());
-        ctx.send(in.port, labels_message(kFwNbrList2, root, nbrs,
+        ctx.send(in.port, labels_message(kFwNbrList2, root,
+                                         ctx.neighbor_labels(),
                                          ctx.label_bits()));
         break;
       }
       case kFwNbrList2: {
         const Label root = in.msg.payload[0];
-        const Label child = ctx.neighbor_labels()[in.port];
-        L1State& st = self.l1_states[root];
-        st.collected[child] = parse_labels(in.msg);
-        if (!st.forwarded && st.collected.size() == st.children.size()) {
-          st.forwarded = true;
-          ctx.send(st.parent, groups_message(kFwFwdLists, root, st.collected,
-                                             ctx.label_bits()));
+        L1Role& role = l1_role(self, root);
+        append_group(role.collected, role.pool,
+                     ctx.neighbor_labels()[in.port], labels_of(in.msg));
+        if (!role.forwarded && role.collected.size() == role.num_children) {
+          role.forwarded = true;
+          sort_by_key(role.collected);
+          ctx.send(role.parent,
+                   groups_message(kFwFwdLists, root, role.collected,
+                                  role.pool, ctx.label_bits()));
         }
         break;
       }
       case kFwFwdLists: {
-        for (const auto& [l2, list] : parse_groups(in.msg)) {
-          self.root_state.l2_lists[l2] = list;
-        }
-        ++self.fwd_received;
-        if (self.fwd_received == self.root_state.expected_fwd &&
-            !self.root_state.s3_done) {
+        // A level-1 node forwards exactly its own S2 children's lists, so
+        // the sender is each listed level-2 node's parent.
+        RootTables& t = root_tables(self);
+        const Label sender = ctx.neighbor_labels()[in.port];
+        for_each_group(in.msg, [&](Label l2, std::span<const Label> list) {
+          append_group(t.l2_lists, t.pool, l2, list, sender);
+        });
+        ++t.fwd_received;
+        if (t.fwd_received == t.expected_fwd && !t.s3_done) {
           compute_s3(ctx, self);
         }
         break;
       }
       case kFwS3ToL1: {
         const Label root = in.msg.payload[0];
-        for (const auto& [l2, l3_children] : parse_groups(in.msg)) {
-          ctx.send_to_label(l2, labels_message(kFwS3ToL2, root, l3_children,
+        for_each_group(in.msg, [&](Label l2, std::span<const Label> l3s) {
+          ctx.send_to_label(l2, labels_message(kFwS3ToL2, root, l3s,
                                                ctx.label_bits()));
-        }
+        });
         break;
       }
       case kFwS3ToL2: {
         const Label root = in.msg.payload[0];
-        for (Label l3 : parse_labels(in.msg)) {
+        for (Label l3 : labels_of(in.msg)) {
           ctx.send_to_label(l3,
                             sim::make_message(kFwInvite3, {root},
                                               16 + ctx.label_bits()));
@@ -315,7 +431,7 @@ struct FastWakeup {
     // A node woken this round that only joined trees (level 1/2) ends up
     // Joined: awake, silent, deactivating at tree completion.
     if (self.woke_by_message && self.status == Status::kUnwoken &&
-        (!self.l1_states.empty() || !self.l2_states.empty())) {
+        (!self.l1_roles.empty() || self.l2_member)) {
       self.status = Status::kJoined;
     }
   }
@@ -327,55 +443,91 @@ struct FastWakeup {
                                    ctx.local_round() + rounds_to_completion);
   }
 
+  /// Starts the known set with the root and its neighbours.
+  template <class Ctx>
+  static void know_root_and_neighbours(Ctx& ctx, Scratch& s) {
+    const std::span<const Label> nbrs = ctx.neighbor_labels();
+    s.known.assign(nbrs.begin(), nbrs.end());
+    s.known.push_back(ctx.my_label());
+  }
+
   template <class Ctx>
   void compute_s2(Ctx& ctx, State& self) const {
-    self.root_state.s2_done = true;
-    std::set<Label> known{ctx.my_label()};
-    for (const auto& lbl : ctx.neighbor_labels()) known.insert(lbl);
-    // Assign each level-2 candidate to its smallest-ID level-1 neighbor.
-    for (const auto& [l1, nbrs] : self.root_state.l1_lists) {
-      for (Label w : nbrs) {
-        if (known.count(w)) continue;
-        known.insert(w);
-        self.root_state.s2_assign[l1].push_back(w);
-        self.root_state.l2_parent[w] = l1;
+    RootTables& t = *self.root;
+    t.s2_done = true;
+    // Assign each level-2 candidate to its smallest-label level-1
+    // neighbour: walk the level-1 lists in label order and keep each new
+    // label's first sighting.
+    sort_by_key(t.l1_lists);
+    Scratch& s = scratch();
+    know_root_and_neighbours(ctx, s);
+    s.candidates.clear();
+    for (const Group& g : t.l1_lists) {
+      const std::span<const Label> list = labels_of(g, t.pool);
+      s.candidates.insert(s.candidates.end(), list.begin(), list.end());
+    }
+    keep_first_unknown(s);
+    // Distribute S2 to all level-1 nodes in label order (empty lists
+    // included: the paper's root "sends it to its neighbors").
+    std::size_t c = 0;
+    for (const Group& g : t.l1_lists) {
+      const std::size_t first = t.level2.size();
+      for (std::uint32_t j = 0; j < g.count; ++j, ++c) {
+        if (s.keep[c] != 0) t.level2.push_back(s.candidates[c]);
       }
+      const std::span<const Label> children(t.level2.data() + first,
+                                            t.level2.size() - first);
+      if (!children.empty()) ++t.expected_fwd;
+      ctx.send_to_label(g.key, labels_message(kFwS2Assign, ctx.my_label(),
+                                              children, ctx.label_bits()));
     }
-    self.root_state.expected_fwd = self.root_state.s2_assign.size();
-    // Distribute S2 to all level-1 nodes (empty lists included: the paper's
-    // root "sends it to its neighbors").
-    for (const auto& [l1, nbrs] : self.root_state.l1_lists) {
-      auto it = self.root_state.s2_assign.find(l1);
-      const std::vector<Label> empty;
-      const std::vector<Label>& children =
-          it != self.root_state.s2_assign.end() ? it->second : empty;
-      ctx.send_to_label(l1, labels_message(kFwS2Assign, ctx.my_label(),
-                                           children, ctx.label_bits()));
-    }
-    if (self.root_state.expected_fwd == 0) compute_s3(ctx, self);
+    if (t.expected_fwd == 0) compute_s3(ctx, self);
   }
 
   template <class Ctx>
   void compute_s3(Ctx& ctx, State& self) const {
-    self.root_state.s3_done = true;
-    std::set<Label> known{ctx.my_label()};
-    for (const auto& lbl : ctx.neighbor_labels()) known.insert(lbl);
-    for (const auto& [l2, parent] : self.root_state.l2_parent) {
-      known.insert(l2);
+    RootTables& t = *self.root;
+    t.s3_done = true;
+    Scratch& s = scratch();
+    know_root_and_neighbours(ctx, s);
+    s.known.insert(s.known.end(), t.level2.begin(), t.level2.end());
+    // Level-3 candidates: the level-2 lists in label order.
+    sort_by_key(t.l2_lists);
+    s.candidates.clear();
+    for (const Group& g : t.l2_lists) {
+      const std::span<const Label> list = labels_of(g, t.pool);
+      s.candidates.insert(s.candidates.end(), list.begin(), list.end());
     }
-    // Per level-1 node: groups (its L2 child -> that child's L3 children).
-    std::map<Label, std::map<Label, std::vector<Label>>> per_l1;
-    for (const auto& [l2, nbrs] : self.root_state.l2_lists) {
-      const Label l1 = self.root_state.l2_parent.at(l2);
-      for (Label w : nbrs) {
-        if (known.count(w)) continue;
-        known.insert(w);
-        per_l1[l1][l2].push_back(w);
+    keep_first_unknown(s);
+    // Per level-2 node, its new level-3 children; then one grouped message
+    // per level-1 node (ascending), its groups in ascending level-2 order.
+    s.groups.clear();
+    s.pool.clear();
+    std::size_t c = 0;
+    for (const Group& g : t.l2_lists) {
+      const auto first = static_cast<std::uint32_t>(s.pool.size());
+      for (std::uint32_t j = 0; j < g.count; ++j, ++c) {
+        if (s.keep[c] != 0) s.pool.push_back(s.candidates[c]);
       }
+      const auto count = static_cast<std::uint32_t>(s.pool.size()) - first;
+      if (count != 0) s.groups.push_back(Group{g.key, g.parent, first, count});
     }
-    for (const auto& [l1, groups] : per_l1) {
-      ctx.send_to_label(l1, groups_message(kFwS3ToL1, ctx.my_label(), groups,
-                                           ctx.label_bits()));
+    std::sort(s.groups.begin(), s.groups.end(),
+              [](const Group& a, const Group& b) {
+                return a.parent != b.parent ? a.parent < b.parent
+                                            : a.key < b.key;
+              });
+    for (std::size_t i = 0; i < s.groups.size();) {
+      std::size_t j = i;
+      while (j < s.groups.size() && s.groups[j].parent == s.groups[i].parent) {
+        ++j;
+      }
+      ctx.send_to_label(
+          s.groups[i].parent,
+          groups_message(kFwS3ToL1, ctx.my_label(),
+                         std::span<const Group>(s.groups.data() + i, j - i),
+                         s.pool, ctx.label_bits()));
+      i = j;
     }
   }
 

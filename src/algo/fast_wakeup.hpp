@@ -18,6 +18,13 @@
 // keep relaying in-progress tree constructions. Nodes use only their local
 // round counter — there is no global clock (footnote 4).
 //
+// Per-node state is flat (fast_wakeup.cpp): a level-2 membership is one
+// flag, a level-1 membership a small record per tree, and only a sampled
+// root allocates tables — label lists kept as key + slice of one pool,
+// read from payloads in place. Wherever the algorithm walks a set of
+// nodes, it walks it in ascending label order, so the send order, the
+// charged bits and every digest depend on labels only.
+//
 // Runs under the synchronous engine only.
 #pragma once
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <queue>
+#include <utility>
 
 #include "graph/algorithms.hpp"
 #include "support/check.hpp"
@@ -82,25 +84,40 @@ WakeSchedule staggered_doubling(NodeId n, Time gap, double growth, Rng& rng) {
 
 WakeSchedule dominating_set_wakeup(const graph::Graph& g) {
   const NodeId n = g.num_nodes();
+  // Greedy max-coverage: repeatedly pick the node whose closed
+  // neighbourhood holds the most undominated nodes, ties to the smallest
+  // id. Gains only fall, so a max-heap whose stale entries are re-keyed
+  // when they surface makes the same picks as rescanning every node per
+  // pick, in O(m log n) instead of O(n * picks).
   std::vector<bool> dominated(n, false);
+  std::vector<std::size_t> gain(n);
+  using Entry = std::pair<std::size_t, NodeId>;
+  const auto lower = [](const Entry& a, const Entry& b) {
+    return a.first != b.first ? a.first < b.first : a.second > b.second;
+  };
+  std::priority_queue<Entry, std::vector<Entry>, decltype(lower)> heap(lower);
+  for (NodeId u = 0; u < n; ++u) {
+    gain[u] = 1 + g.neighbors(u).size();
+    heap.emplace(gain[u], u);
+  }
+  const auto dominate = [&](NodeId x) {
+    if (dominated[x]) return;
+    dominated[x] = true;
+    --gain[x];
+    for (NodeId w : g.neighbors(x)) --gain[w];
+  };
   std::vector<NodeId> set;
-  // Greedy max-coverage.
-  for (;;) {
-    NodeId best = kInvalidNode;
-    std::size_t best_gain = 0;
-    for (NodeId u = 0; u < n; ++u) {
-      std::size_t gain = dominated[u] ? 0 : 1;
-      for (NodeId v : g.neighbors(u))
-        if (!dominated[v]) ++gain;
-      if (gain > best_gain) {
-        best_gain = gain;
-        best = u;
-      }
+  while (!heap.empty()) {
+    const auto [stored, u] = heap.top();
+    heap.pop();
+    if (stored != gain[u]) {
+      if (gain[u] > 0) heap.emplace(gain[u], u);
+      continue;
     }
-    if (best == kInvalidNode) break;
-    set.push_back(best);
-    dominated[best] = true;
-    for (NodeId v : g.neighbors(best)) dominated[v] = true;
+    if (stored == 0) break;
+    set.push_back(u);
+    dominate(u);
+    for (NodeId v : g.neighbors(u)) dominate(v);
   }
   return wake_set(std::move(set));
 }

@@ -22,6 +22,15 @@
 // pending wakes, no tick requests) terminates the run, which keeps
 // simulated complexity proportional to actual activity.
 //
+// The round's active set is built without sorting or allocating. Every node
+// has one mark byte (kept in the RunWorkspace). request_tick, the round's
+// adversary-wake slice and the end of a nap set it; one ascending sweep
+// over marks and inboxes then emits the active set already sorted and
+// deduplicated, clearing each mark as it goes. A node due for several
+// reasons at once (two tick requests, a message and an adversary wake) is
+// stepped once. Nap ends are kept in a std::map keyed by round; only the
+// sleeping-model families ever fill it.
+//
 // Sleeping model (SyncRunLimits::sleeping_model): nodes may additionally
 // declare themselves asleep with Context::sleep_until(r) — they are not
 // stepped again before round r, pay no awake cost, and messages arriving
@@ -53,7 +62,6 @@
 #include <cstdint>
 #include <exception>
 #include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -346,9 +354,11 @@ class SyncRunner {
       next_inbox_ = std::move(workspace_->next_inbox);
       wakes_ = std::move(workspace_->sync_wakes);
       active_ = std::move(workspace_->sync_active);
+      marks_ = std::move(workspace_->sync_marks);
       outboxes_ = std::move(workspace_->sync_outboxes);
     }
     wake_round_.assign(n_, kNever);
+    marks_.assign(n_, 0);
     asleep_until_.assign(n_, 0);
     reset_boxes(inbox_, n_);
     reset_boxes(next_inbox_, n_);
@@ -362,8 +372,8 @@ class SyncRunner {
     // adversary_woke() binary-searches — replacing a per-run
     // std::map<Time, vector> whose node allocations broke the steady-state
     // zero-allocation contract. The insertion order the map preserved
-    // within one round is irrelevant: the active set is sorted and
-    // deduplicated either way, and wake-cause lookup is a membership test.
+    // within one round is irrelevant: the wakes only set marks, and
+    // wake-cause lookup is a membership test.
     std::sort(wakes_.begin(), wakes_.end());
     active_.clear();
     if (parallel_.enabled()) {
@@ -380,6 +390,7 @@ class SyncRunner {
     workspace_->next_inbox = std::move(next_inbox_);
     workspace_->sync_wakes = std::move(wakes_);
     workspace_->sync_active = std::move(active_);
+    workspace_->sync_marks = std::move(marks_);
     workspace_->sync_outboxes = std::move(outboxes_);
   }
 
@@ -415,12 +426,12 @@ class SyncRunner {
         }
       }
 
-      // 2. Adversary wake-ups and sleep expiries scheduled for this round.
-      active_.clear();
+      // 2. Mark this round's adversary wake-ups and nap ends; tick requests
+      // of the previous round are already marked.
       const std::size_t wake_lo = wake_cursor_;
       while (wake_cursor_ < wakes_.size() &&
              wakes_[wake_cursor_].first == round_) {
-        active_.push_back(wakes_[wake_cursor_].second);
+        marks_[wakes_[wake_cursor_].second] = 1;
         ++wake_cursor_;
       }
       round_wakes_begin_ = wakes_.data() + wake_lo;
@@ -429,18 +440,19 @@ class SyncRunner {
           it != pending_sleep_wakes_.end()) {
         // A node's nap ends at its declared round: it is stepped again
         // (usually with an empty inbox) so it can resume its protocol.
-        for (NodeId u : it->second) active_.push_back(u);
+        for (NodeId u : it->second) marks_[u] = 1;
         pending_sleep_wakes_.erase(it);
       }
-      for (NodeId u = 0; u < n; ++u) {
-        if (!inbox_[u].empty()) active_.push_back(u);
-      }
-      for (NodeId u : tick_requests_) active_.push_back(u);
-      tick_requests_.clear();
 
-      std::sort(active_.begin(), active_.end());
-      active_.erase(std::unique(active_.begin(), active_.end()),
-                    active_.end());
+      // 2b. One ascending sweep: marked nodes and nodes with mail, already
+      // sorted and deduplicated; every mark is clear afterwards.
+      active_.clear();
+      for (NodeId u = 0; u < n; ++u) {
+        if (marks_[u] != 0 || !inbox_[u].empty()) {
+          marks_[u] = 0;
+          active_.push_back(u);
+        }
+      }
       if (sleeping) {
         // Declared-asleep nodes receive no events at all — an adversary
         // wake or stale tick request aimed at a napping node evaporates.
@@ -520,7 +532,7 @@ class SyncRunner {
   std::uint64_t local_round(NodeId u) const {
     return core_.is_awake(u) ? (round_ - wake_round_[u] + 1) : 0;
   }
-  void request_tick(NodeId u) { tick_requests_.insert(u); }
+  void request_tick(NodeId u) { marks_[u] = 1; }
 
   /// Context::sleep_until, engine side: the node naps over rounds
   /// (round_, target) exclusive and is stepped again at `target`.
@@ -726,7 +738,7 @@ class SyncRunner {
           core_.account_delivery(st.node, round_, st.delivered);
         }
         if (st.slept) pending_sleep_wakes_[st.sleep_target].push_back(st.node);
-        if (st.tick) tick_requests_.insert(st.node);
+        if (st.tick) marks_[st.node] = 1;
       }
       for (; mark != ob.marks.end(); ++mark) {
         if (probe_ != nullptr) probe_->replay(*mark);
@@ -773,9 +785,13 @@ class SyncRunner {
   const std::pair<Time, NodeId>* round_wakes_begin_ = nullptr;
   const std::pair<Time, NodeId>* round_wakes_end_ = nullptr;
   std::vector<NodeId> active_;
+  /// One byte per node, set when the node is due in the next sweep (tick
+  /// request, adversary wake or nap end); the sweep clears it.
+  std::vector<std::uint8_t> marks_;
   std::vector<SyncChunkOutbox> outboxes_;  ///< one per job; parallel only
+  /// Nap ends by round; sleeping model only, so a std::map is no cost
+  /// elsewhere.
   std::map<Time, std::vector<NodeId>> pending_sleep_wakes_;
-  std::set<NodeId> tick_requests_;
 };
 
 }  // namespace rise::sim::internal

@@ -36,9 +36,12 @@ std::size_t class_of(std::uint32_t pow2_cap) {
   return c;
 }
 
-/// Thread-local freelist of power-of-two payload buffers. Messages never
-/// cross threads (each trial is single-threaded), so per-thread pooling
-/// needs no locks and each buffer is freed where it was allocated.
+/// Thread-local freelist of power-of-two payload buffers; per-thread, so
+/// it needs no locks. A buffer may be freed on another thread than the one
+/// that allocated it: the round-parallel sync engine allocates a spilled
+/// payload on the worker that steps the sender and frees it on the worker
+/// that steps the receiver a round later. The buffer then joins the
+/// freeing thread's pool (kMaxPerClass bounds every pool either way).
 class PayloadArena {
  public:
   ~PayloadArena() {

@@ -111,6 +111,7 @@ struct RunWorkspace {
   std::vector<std::vector<Incoming>> next_inbox;
   std::vector<std::pair<Time, NodeId>> sync_wakes;  // flat wake schedule
   std::vector<NodeId> sync_active;                  // per-round active set
+  std::vector<std::uint8_t> sync_marks;             // per-node "due" marks
   std::vector<SyncChunkOutbox> sync_outboxes;       // parallel rounds only
 
   // Handler storage (sim/kernel.hpp): one type-tagged slot holding the

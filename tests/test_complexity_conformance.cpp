@@ -152,6 +152,18 @@ TEST(Conformance, RankedDfsAtScale) {
   check_row(*row, "cgnp:100000:0.00006");
 }
 
+// Theorem 4 at scale: the fast_wakeup row (60 n^1.5 sqrt(ln n) messages,
+// at most 30 rounds under the dominating-set wake-up) on the same
+// n = 10^5 graph as RankedDfsAtScale.
+TEST(Conformance, FastWakeupAtScale) {
+  const auto& table = conformance_table();
+  const auto row = std::find_if(table.begin(), table.end(), [](const auto& r) {
+    return r.algorithm == "fast_wakeup";
+  });
+  ASSERT_NE(row, table.end());
+  check_row(*row, "cgnp:100000:0.00006");
+}
+
 std::vector<CasesParam> all_cases() {
   std::vector<CasesParam> cases;
   for (const auto& row : conformance_table()) {

@@ -90,6 +90,43 @@ TEST(DominatingSet, CoversGraph) {
   }
 }
 
+TEST(DominatingSet, MatchesTheRescanningGreedyPickForPick) {
+  // Reference: rescan every node per pick for the largest number of
+  // undominated nodes in its closed neighbourhood, ties to the smallest id.
+  const auto rescanning = [](const graph::Graph& g) {
+    const graph::NodeId n = g.num_nodes();
+    std::vector<bool> dominated(n, false);
+    std::vector<graph::NodeId> set;
+    for (;;) {
+      graph::NodeId best = kInvalidNode;
+      std::size_t best_gain = 0;
+      for (graph::NodeId u = 0; u < n; ++u) {
+        std::size_t gain = dominated[u] ? 0 : 1;
+        for (graph::NodeId v : g.neighbors(u)) gain += dominated[v] ? 0 : 1;
+        if (gain > best_gain) {
+          best_gain = gain;
+          best = u;
+        }
+      }
+      if (best == kInvalidNode) return set;
+      set.push_back(best);
+      dominated[best] = true;
+      for (graph::NodeId v : g.neighbors(best)) dominated[v] = true;
+    }
+  };
+  Rng rng(8);
+  std::vector<graph::Graph> graphs = {graph::path(17), graph::star(9),
+                                      graph::Graph::from_edges(5, {})};
+  for (const double p : {0.02, 0.05, 0.2}) {
+    graphs.push_back(graph::connected_gnp(300, p, rng));
+    graphs.push_back(graph::gnp(300, p, rng));
+  }
+  for (const auto& g : graphs) {
+    EXPECT_EQ(dominating_set_wakeup(g).all_nodes(), rescanning(g))
+        << "n=" << g.num_nodes() << " m=" << g.num_edges();
+  }
+}
+
 TEST(DominatingSet, StarNeedsOnlyHub) {
   const auto g = graph::star(30);
   const auto s = dominating_set_wakeup(g);

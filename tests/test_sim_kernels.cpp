@@ -71,6 +71,8 @@ struct RunConfig {
   /// `trial_executor` is set, so the run stays threadless-deterministic).
   std::uint32_t trial_jobs = 1;
   sim::ChunkExecutor* trial_executor = nullptr;
+  /// Off for runs at scale, whose CSV trace would run to hundreds of MB.
+  bool trace = true;
 };
 
 std::string run_digest(const app::ExperimentSpec& spec,
@@ -78,7 +80,7 @@ std::string run_digest(const app::ExperimentSpec& spec,
   std::ostringstream trace;
   sim::CsvTraceSink sink(trace);
   app::RunInstruments instruments;
-  instruments.trace = &sink;
+  if (config.trace) instruments.trace = &sink;
   instruments.queue_mode = config.queue_mode;
   instruments.force_sync_engine = config.force_sync_engine;
   instruments.trial_jobs = config.trial_jobs;
@@ -284,6 +286,26 @@ TEST(SimKernels, RankedDfsTokenLogsOnThreadPoolAreBitIdentical) {
     EXPECT_EQ(run_digest(spec, sequential), run_digest(spec, parallel))
         << algo;
   }
+}
+
+// FastWakeUp at n = 10^5 on a real pool: the one run in the suite where
+// pool workers write FastWakeUp's per-node state (tree roles and root
+// tables) at scale, so TSan sees the chunked step phase under real load.
+TEST(SimKernels, FastWakeupRoundParallelAtScaleIsBitIdentical) {
+  runner::ThreadPool pool(3);
+  runner::PoolChunkExecutor executor(&pool);
+  app::ExperimentSpec spec;
+  spec.algorithm = "fast_wakeup";
+  spec.graph = "cgnp:100000:0.00006";
+  spec.schedule = "dominating";
+  spec.seed = 7;
+  RunConfig sequential;
+  sequential.trace = false;
+  RunConfig parallel = sequential;
+  parallel.trial_jobs = 4;
+  parallel.trial_executor = &executor;
+  // EXPECT_TRUE: a mismatch would otherwise print two 10^5-node digests.
+  EXPECT_TRUE(run_digest(spec, sequential) == run_digest(spec, parallel));
 }
 
 // Dirty-workspace reuse on the parallel path: chunk outboxes and the flat

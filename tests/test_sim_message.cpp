@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -115,6 +116,26 @@ TEST(PayloadWords, ArenaRecyclesSpilledBuffers) {
   EXPECT_EQ(q.capacity(), first_cap);
   for (std::uint64_t i = 0; i < 100; ++i) q.push_back(i ^ 0xFFu);
   EXPECT_EQ(q[99], 99u ^ 0xFFu);
+}
+
+TEST(PayloadWords, SpillFreedOnAnotherThreadIsRecycledThere) {
+  // The round-parallel sync engine spills a payload on the worker that
+  // steps the sender and frees it on the worker that steps the receiver a
+  // round later. The buffer must land in the freeing thread's arena and be
+  // reused by that thread's next spill of the same size class.
+  PayloadWords spilled;
+  for (std::uint64_t i = 0; i < 100; ++i) spilled.push_back(i);
+  const std::uint64_t* buffer = spilled.data();
+  const std::uint32_t cap = spilled.capacity();
+  const std::uint64_t* reused = nullptr;
+  std::thread other([&] {
+    { PayloadWords dying(std::move(spilled)); }
+    PayloadWords next;
+    next.reserve(cap);
+    reused = next.data();
+  });
+  other.join();
+  EXPECT_EQ(reused, buffer);
 }
 
 TEST(PayloadWords, HugePayloadsBeyondArenaPoolingStillWork) {

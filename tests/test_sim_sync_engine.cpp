@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/flooding.hpp"
+#include "check/scenario.hpp"
 #include "graph/generators.hpp"
 #include "runner/thread_pool.hpp"
 #include "support/check.hpp"
@@ -164,6 +167,69 @@ TEST(SyncEngine, DeterministicAcrossRuns) {
   const auto r2 = run_sync(inst, wake_single(7), 9, algo::flooding_kernel());
   EXPECT_EQ(r1.wake_time, r2.wake_time);
   EXPECT_EQ(r1.metrics.messages, r2.metrics.messages);
+}
+
+TEST(SyncEngine, RepeatedTickRequestsStepANodeOnce) {
+  // Each node wakes one hop after its left neighbour and, for its first
+  // four local rounds, requests a tick twice and sends on every port. So a
+  // node is often due in a round for several reasons at once: two tick
+  // requests and a non-empty inbox, and for nodes 1 to 3 also their slot
+  // in the adversary's schedule (node 1 and node 2 are already awake then,
+  // woken by a message). It must still be stepped exactly once per round.
+  const auto g = graph::path(4);
+  const Instance inst = test::make_instance(g, Knowledge::KT1);
+  std::vector<std::pair<graph::NodeId, Time>> steps;
+  const ProcessFactory chatty = [&steps](graph::NodeId node) {
+    class P final : public Process {
+     public:
+      P(std::vector<std::pair<graph::NodeId, Time>>* steps,
+        graph::NodeId node)
+          : steps_(steps), node_(node) {}
+      void on_wake(Context&, WakeCause) override {}
+      void on_message(Context&, const Incoming&) override {}
+      void on_round(Context& ctx, std::span<const Incoming>) override {
+        steps_->emplace_back(node_, ctx.now());
+        if (ctx.local_round() > 4) return;
+        ctx.request_tick();
+        ctx.request_tick();
+        for (Port p = 0; p < ctx.degree(); ++p) {
+          ctx.send(p, make_message(1, {}, 8));
+        }
+      }
+
+     private:
+      std::vector<std::pair<graph::NodeId, Time>>* steps_;
+      graph::NodeId node_;
+    };
+    return std::make_unique<P>(&steps, node);
+  };
+  const KernelRunner kernel = make_kernel(ProcessAlgorithm{chatty});
+  WakeSchedule schedule;
+  schedule.wakes = {{0, 0}, {2, 1}, {3, 2}, {3, 3}};
+  SerialChunkExecutor serial;
+  std::vector<std::uint64_t> digests;
+  for (const std::uint32_t jobs : {1u, 3u}) {
+    SCOPED_TRACE(jobs);
+    steps.clear();
+    SyncKernelArgs args;
+    args.instance = &inst;
+    args.schedule = &schedule;
+    args.seed = 1;
+    args.parallel = {&serial, jobs};
+    const RunResult result = kernel.run_sync(args);
+    const std::set<std::pair<graph::NodeId, Time>> distinct(steps.begin(),
+                                                             steps.end());
+    EXPECT_EQ(distinct.size(), steps.size());
+    // Node u is stepped in rounds u .. u + 5 (node 3, with no right
+    // neighbour to hear from, in rounds 3 .. 7).
+    EXPECT_EQ(result.awake_rounds,
+              (std::vector<std::uint32_t>{6, 6, 6, 5}));
+    EXPECT_EQ(result.metrics.events, 23u);
+    EXPECT_EQ(result.metrics.events, steps.size());
+    EXPECT_EQ(result.metrics.rounds, 8u);
+    digests.push_back(check::digest_run(result));
+  }
+  EXPECT_EQ(digests[0], digests[1]);
 }
 
 TEST(SyncEngine, RoundParallelRaisesTheErrorTheSerialLoopReachesFirst) {
