@@ -310,16 +310,26 @@ void BM_RankedDfs(benchmark::State& state) {
 }
 BENCHMARK(BM_RankedDfs)->Arg(250)->Arg(500);
 
+/// Args: n, edge probability in thousandths, k. {1000, 8, 3} is the
+/// table1_campaign graph (cgnp:1000:0.008) with spanner:3; k = 10 is
+/// Corollary 2's k at n = 1000.
 void BM_GreedySpanner(benchmark::State& state) {
   const auto n = static_cast<graph::NodeId>(state.range(0));
+  const double p = static_cast<double>(state.range(1)) / 1000.0;
+  const auto k = static_cast<unsigned>(state.range(2));
   Rng rng(n);
-  const auto g = graph::connected_gnp(n, 0.1, rng);
+  const auto g = graph::connected_gnp(n, p, rng);
   for (auto _ : state) {
-    const auto s = graph::greedy_spanner(g, 3);
+    const auto s = graph::greedy_spanner(g, k);
     benchmark::DoNotOptimize(s.num_edges());
   }
 }
-BENCHMARK(BM_GreedySpanner)->Arg(300)->Arg(600);
+BENCHMARK(BM_GreedySpanner)
+    ->Args({300, 100, 3})
+    ->Args({600, 100, 3})
+    ->Args({1000, 8, 3})
+    ->Args({1000, 8, 10})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_LazebnikUstimenkoD3(benchmark::State& state) {
   const auto q = static_cast<std::uint64_t>(state.range(0));

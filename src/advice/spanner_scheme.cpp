@@ -1,7 +1,7 @@
 #include "advice/spanner_scheme.hpp"
 
 #include <algorithm>
-#include <map>
+#include <span>
 #include <vector>
 
 #include "graph/spanner.hpp"
@@ -20,22 +20,30 @@ struct NextPair {
   sim::Port b = sim::kInvalidPort;
 };
 
+/// One incident spanner edge of a node: the port (at this node) carrying it,
+/// and this node's next-sibling pair in the *neighbor's* heap (ports at the
+/// neighbor).
+struct Record {
+  sim::Port key = sim::kInvalidPort;
+  NextPair next;
+};
+
 struct NodeAdvice {
   bool has_first = false;
   sim::Port first = sim::kInvalidPort;
-  // Keyed by the port (at this node) carrying the spanner edge; the value is
-  // this node's next-sibling pair in the *neighbor's* heap (ports at the
-  // neighbor).
-  std::map<sim::Port, NextPair> records;
+  std::vector<Record> records;  // ascending key
 };
 
-BitString encode_node_advice(const NodeAdvice& a) {
+/// `records` must be sorted by key; the bits list them in that order.
+BitString encode_node_advice(bool has_first, sim::Port first,
+                             std::span<const Record> records) {
   BitWriter w;
-  w.write_gamma(a.records.size());
-  w.write_bit(a.has_first);
-  if (a.has_first) w.write_gamma(a.first);
-  for (const auto& [key, next] : a.records) {
-    w.write_gamma(key);
+  w.write_gamma(records.size());
+  w.write_bit(has_first);
+  if (has_first) w.write_gamma(first);
+  for (const Record& record : records) {
+    const NextPair& next = record.next;
+    w.write_gamma(record.key);
     w.write_bit(next.has_a);
     if (next.has_a) w.write_gamma(next.a);
     w.write_bit(next.has_b);
@@ -50,14 +58,14 @@ NodeAdvice decode_node_advice(const BitString& bits) {
   const std::uint64_t count = r.read_gamma();
   a.has_first = r.read_bit();
   if (a.has_first) a.first = static_cast<sim::Port>(r.read_gamma());
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto key = static_cast<sim::Port>(r.read_gamma());
-    NextPair next;
+  a.records.resize(count);
+  for (Record& record : a.records) {
+    NextPair& next = record.next;
+    record.key = static_cast<sim::Port>(r.read_gamma());
     next.has_a = r.read_bit();
     if (next.has_a) next.a = static_cast<sim::Port>(r.read_gamma());
     next.has_b = r.read_bit();
     if (next.has_b) next.b = static_cast<sim::Port>(r.read_gamma());
-    a.records[key] = next;
   }
   return a;
 }
@@ -75,39 +83,49 @@ class SpannerOracle final : public AdvisingOracle {
           2, rise::floor_log2(std::max<std::uint64_t>(2, g.num_nodes())) + 1);
     }
     const graph::Graph spanner = graph::greedy_spanner(g, k);
+    const graph::NodeId n = g.num_nodes();
 
-    std::vector<NodeAdvice> advice(g.num_nodes());
-    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      // v's spanner neighbors ordered by port at v, laid out as a 1-based
-      // binary heap.
-      std::vector<std::pair<sim::Port, graph::NodeId>> heap;
+    // Node w holds one record per incident spanner edge, so w's records
+    // fill row w of the spanner's CSR layout: one flat array for all nodes.
+    const std::uint64_t* row = spanner.offsets_data();
+    std::vector<Record> records(2 * spanner.num_edges());
+    std::vector<std::uint32_t> filled(n, 0);
+    std::vector<sim::Port> first(n, sim::kInvalidPort);
+    std::vector<sim::Port> heap;
+    for (graph::NodeId v = 0; v < n; ++v) {
+      // v's spanner ports in ascending order, read as a 1-based binary heap.
+      heap.clear();
       for (graph::NodeId u : spanner.neighbors(v)) {
-        heap.push_back({instance.neighbor_to_port(v, u), u});
+        heap.push_back(instance.neighbor_to_port(v, u));
       }
-      std::sort(heap.begin(), heap.end());
       if (heap.empty()) continue;
-      advice[v].has_first = true;
-      advice[v].first = heap[0].first;
+      std::sort(heap.begin(), heap.end());
+      first[v] = heap[0];
       for (std::size_t i = 0; i < heap.size(); ++i) {
-        const graph::NodeId w = heap[i].second;
-        const sim::Port key_at_w = instance.neighbor_to_port(w, v);
-        NextPair next;
+        const graph::NodeId w = instance.port_to_neighbor(v, heap[i]);
+        Record& record = records[row[w] + filled[w]++];
+        record.key = instance.reverse_port(v, heap[i]);
         const std::size_t h = i + 1;
         if (2 * h - 1 < heap.size()) {
-          next.has_a = true;
-          next.a = heap[2 * h - 1].first;
+          record.next.has_a = true;
+          record.next.a = heap[2 * h - 1];
         }
         if (2 * h < heap.size()) {
-          next.has_b = true;
-          next.b = heap[2 * h].first;
+          record.next.has_b = true;
+          record.next.b = heap[2 * h];
         }
-        advice[w].records[key_at_w] = next;
       }
     }
 
-    std::vector<BitString> out(g.num_nodes());
-    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      out[v] = encode_node_advice(advice[v]);
+    std::vector<BitString> out(n);
+    for (graph::NodeId w = 0; w < n; ++w) {
+      const auto own = std::span<Record>(records).subspan(
+          row[w], row[w + 1] - row[w]);
+      std::sort(own.begin(), own.end(), [](const Record& a, const Record& b) {
+        return a.key < b.key;
+      });
+      out[w] = encode_node_advice(first[w] != sim::kInvalidPort, first[w],
+                                  own);
     }
     return out;
   }
@@ -137,10 +155,13 @@ struct SpannerWake {
       case kSpWake: {
         // Reply with our next-sibling pair in the sender's heap so its
         // dissemination continues, then wake our own spanner neighborhood.
-        const auto it = self.advice.records.find(in.port);
-        RISE_CHECK_MSG(it != self.advice.records.end(),
+        const auto& records = self.advice.records;
+        const auto it = std::lower_bound(
+            records.begin(), records.end(), in.port,
+            [](const Record& r, sim::Port port) { return r.key < port; });
+        RISE_CHECK_MSG(it != records.end() && it->key == in.port,
                        "spanner wake arrived over a non-spanner edge");
-        const NextPair& next = it->second;
+        const NextPair& next = it->next;
         sim::PayloadWords payload{
             (next.has_a ? 1u : 0u) | (next.has_b ? 2u : 0u),
             next.has_a ? next.a : 0, next.has_b ? next.b : 0};

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "graph/algorithms.hpp"
 #include "graph/spanner.hpp"
@@ -131,6 +132,63 @@ TEST(SpannerScheme, CongestSafe) {
   const auto inst = advised_instance(g, 2);
   EXPECT_NO_THROW(
       test::run_async_unit(inst, sim::wake_single(0), spanner_kernel()));
+}
+
+// FNV-1a over every node's advice string (length, then the meaningful bits
+// of each word), in node order.
+std::uint64_t advice_hash(const sim::Instance& inst) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (x >> (8 * byte)) & 0xFF;
+      h *= 1099511628211ull;
+    }
+  };
+  for (graph::NodeId u = 0; u < inst.num_nodes(); ++u) {
+    const BitString& bits = inst.advice(u);
+    mix(bits.size());
+    const auto& words = bits.words();
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      const std::size_t live = bits.size() - 64 * i;
+      mix(live >= 64 ? words[i] : words[i] & ((1ull << live) - 1));
+    }
+  }
+  return h;
+}
+
+// The advice bits of spanner:3 and Corollary 2 on two graphs, recorded
+// before the oracle moved to flat records and the bidirectional spanner
+// search: any change to the spanner, the heap layout or the record order
+// shows up here.
+TEST(SpannerScheme, AdviceBitsArePinned) {
+  struct Pinned {
+    const char* graph;
+    unsigned k;  // 0 = Corollary 2
+    std::size_t total_bits;
+    std::size_t max_bits;
+    std::uint64_t hash;
+  };
+  const Pinned pinned[] = {
+      {"cgnp_1000", 3, 60884, 206, 0xc8fb4a29f9497050ull},
+      {"cgnp_1000", 0, 27782, 165, 0x913fae3312755381ull},
+      {"gnp_600", 3, 33558, 1219, 0x1b9d11e79070857ull},
+      {"gnp_600", 0, 29450, 1195, 0xb5b40232145e758ull},
+  };
+  Rng rng(11);
+  const auto sparse = graph::connected_gnp(1000, 0.008, rng);
+  const auto dense = graph::connected_gnp(600, 0.15, rng);
+  for (const Pinned& p : pinned) {
+    const std::string name = p.graph;
+    auto inst = test::make_instance(name == "cgnp_1000" ? sparse : dense,
+                                    Knowledge::KT0, sim::Bandwidth::CONGEST,
+                                    5);
+    const auto oracle = p.k == 0 ? corollary2_scheme().oracle
+                                 : spanner_oracle(p.k);
+    const auto stats = apply_oracle(inst, *oracle);
+    EXPECT_EQ(stats.total_bits, p.total_bits) << name << " k=" << p.k;
+    EXPECT_EQ(stats.max_bits, p.max_bits) << name << " k=" << p.k;
+    EXPECT_EQ(advice_hash(inst), p.hash) << name << " k=" << p.k;
+  }
 }
 
 }  // namespace
