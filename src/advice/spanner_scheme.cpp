@@ -72,16 +72,12 @@ NodeAdvice decode_node_advice(const BitString& bits) {
 
 class SpannerOracle final : public AdvisingOracle {
  public:
-  /// k == 0 means "choose k = ceil(log2 n)" (Corollary 2).
+  /// k == 0 means "choose k = corollary2_k(n)" (Corollary 2).
   explicit SpannerOracle(unsigned k) : k_(k) {}
 
   std::vector<BitString> advise(const sim::Instance& instance) const override {
     const auto& g = instance.graph();
-    unsigned k = k_;
-    if (k == 0) {
-      k = std::max<unsigned>(
-          2, rise::floor_log2(std::max<std::uint64_t>(2, g.num_nodes())) + 1);
-    }
+    const unsigned k = k_ != 0 ? k_ : corollary2_k(g.num_nodes());
     const graph::Graph spanner = graph::greedy_spanner(g, k);
     const graph::NodeId n = g.num_nodes();
 
@@ -198,6 +194,11 @@ struct SpannerWake {
 };
 
 }  // namespace
+
+unsigned corollary2_k(std::uint64_t n) {
+  return std::max<unsigned>(
+      2, rise::floor_log2(std::max<std::uint64_t>(2, n)) + 1);
+}
 
 std::unique_ptr<AdvisingOracle> spanner_oracle(unsigned k) {
   RISE_CHECK(k >= 1);

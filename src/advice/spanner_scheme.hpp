@@ -14,10 +14,11 @@
 // Wake-up floods over spanner edges with the binary sibling dissemination:
 //   time    O(k * rho_awk * log n)   (stretch 2k-1 per hop, log-depth heaps)
 //   messages O(k * n^{1+1/k})        (<= 2 per directed spanner edge)
-// Corollary 2 instantiates k = ceil(log2 n): O(log^2 n) advice,
-// O(n log^2 n) messages, O(rho_awk log^2 n) time.
+// Corollary 2 instantiates k = floor(log2 n) + 1 (corollary2_k): O(log^2 n)
+// advice, O(n log^2 n) messages, O(rho_awk log^2 n) time.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "advice/advice.hpp"
@@ -34,7 +35,11 @@ sim::KernelRunner spanner_kernel();
 
 AdvisingScheme spanner_scheme(unsigned k);
 
-/// Corollary 2: k = ceil(log2 n), chosen by the oracle from the instance.
+/// Corollary 2's stretch parameter on n nodes: floor(log2 n) + 1, the bit
+/// length of n, and at least 2.
+unsigned corollary2_k(std::uint64_t n);
+
+/// Corollary 2: k = corollary2_k(n), chosen by the oracle from the instance.
 AdvisingScheme corollary2_scheme();
 
 }  // namespace rise::advice

@@ -488,17 +488,7 @@ ExperimentReport execute_prepared(const PreparedExperiment& prepared,
     args.trace = instruments.trace;
     args.probe = probe;
     args.workspace = workspace;
-    // Round-parallel stepping (bit-identical for any job count). With no
-    // executor wired in, a process-wide serial executor still routes the
-    // run through the chunked code path — that is what differential tests
-    // and the fuzzer exercise without spawning threads.
-    if (instruments.trial_jobs > 1) {
-      static sim::SerialChunkExecutor serial_executor;
-      args.parallel.jobs = instruments.trial_jobs;
-      args.parallel.executor = instruments.trial_executor != nullptr
-                                   ? instruments.trial_executor
-                                   : &serial_executor;
-    }
+    args.parallel = {instruments.trial_executor, instruments.trial_jobs};
     obs::PhaseTimer timer(probe, "engine.run");
     report.result = prepared.kernel.run_sync(args);
     timer.set_sim_span(report.result.metrics.rounds);

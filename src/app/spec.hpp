@@ -122,17 +122,16 @@ struct RunInstruments {
   /// The fuzzer's unit-delay differential uses this.
   bool force_sync_engine = false;
 
-  /// Intra-trial parallelism for *synchronous* runs: each stepped round is
-  /// split into this many chunks executed on `trial_executor`. Results are
-  /// bit-identical to trial_jobs == 1 for any value (the engine reduces all
-  /// shared effects in deterministic order); asynchronous runs ignore it —
-  /// an event timeline has no round-level parallelism to expose. With
-  /// trial_jobs > 1 and no executor a serial executor is substituted, which
-  /// exercises the chunked code path without threads.
+  /// Chunks per round for *synchronous* runs (at least 1): each stepped
+  /// round is split into this many chunks executed on `trial_executor`.
+  /// Results are bit-identical for any value (the engine reduces all shared
+  /// effects in active-set order); asynchronous runs ignore it — an event
+  /// timeline has no round-level parallelism to expose.
   std::uint32_t trial_jobs = 1;
 
   /// Where round chunks run (e.g. runner::PoolChunkExecutor over the
-  /// campaign pool). Must outlive the run. Null = serial fallback.
+  /// campaign pool). Must outlive the run. Null = inline on the calling
+  /// thread.
   sim::ChunkExecutor* trial_executor = nullptr;
 
   /// Called once, after the instance / schedule / delay policy are built and

@@ -89,9 +89,9 @@ TrialOutcome run_trial(const Scenario& s, FaultKind fault,
            {"synchronous replay diverged: digest " + hex(base.digest) +
             " vs " + hex(replay.digest)});
     }
-    // Round-parallel replay: the chunked step/reduce/scatter path (serial
-    // executor, so the comparison is threadless and deterministic) must be
-    // bit-identical to the sequential engine.
+    // Round-parallel replay: the same rounds cut into trial_jobs chunks
+    // (inline executor, so the comparison is threadless and deterministic)
+    // must be bit-identical to the one-chunk run.
     if (trial_jobs > 1) {
       out.ran_parallel_differential = true;
       RunVariant par = base_variant;

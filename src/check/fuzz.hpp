@@ -12,8 +12,8 @@
 //     (one heap Process per node) that must digest-match the production
 //     run's flat kernel — both are generated from one algorithm definition;
 //   - synchronous scenarios: a second identical run (determinism), plus a
-//     replay through the engine's round-parallel chunked path
-//     (trial_jobs > 1, serial executor) that must digest-match;
+//     replay with every round cut into trial_jobs > 1 chunks (inline
+//     executor) that must digest-match;
 //   - pure flooding under unit delays: the asynchronous run against the
 //     lock-step engine, compared on the model-free digest.
 //
@@ -35,9 +35,9 @@ struct FuzzOptions {
   std::uint64_t trials = 100;
   std::uint64_t seed = 1;
   std::size_t jobs = 1;  ///< worker threads; 0 = all hardware threads
-  /// Synchronous trials are additionally replayed through the engine's
-  /// round-parallel code path with this many chunks (serial executor) and
-  /// must digest-match the sequential run. 1 disables the differential.
+  /// Synchronous trials are additionally replayed with every round cut
+  /// into this many chunks (inline executor) and must digest-match the
+  /// one-chunk run. 1 disables the differential.
   std::uint32_t trial_jobs = 3;
   GeneratorOptions generator;
   /// Injected into every trial's replays (kNone in production fuzzing).

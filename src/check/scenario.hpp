@@ -71,9 +71,9 @@ struct RunVariant {
   sim::EventQueue::Mode queue_mode = sim::EventQueue::Mode::kAuto;
   bool force_sync_engine = false;  ///< async algorithm on the sync engine
   FaultKind fault = FaultKind::kNone;
-  /// Synchronous runs: step each round in this many chunks through the
-  /// engine's parallel code path (serial executor — deterministic and
-  /// threadless). Must digest-match trial_jobs == 1; ignored by async runs.
+  /// Synchronous runs: step each round in this many chunks (inline
+  /// executor — deterministic and threadless). Must digest-match
+  /// trial_jobs == 1; ignored by async runs.
   std::uint32_t trial_jobs = 1;
   /// Run the family's generated Process per node instead of its flat
   /// kernel: run_checked replaces the prepared handle with

@@ -40,15 +40,15 @@ struct RunResult;
 
 namespace rise::obs {
 
-/// One algorithm-facing probe mutation recorded during a parallel sync
-/// chunk (SyncRunner::step_parallel) instead of applied immediately:
-/// mark_phase / mark_class / add_counter all mutate shared intern tables,
-/// and a send's phase attribution depends on the exact mark-vs-send
-/// interleaving — so worker threads append DeferredMarks and the engine's
-/// sequential reduction replays them in the sequential order. `seq` is the
-/// number of sends the recording chunk had emitted when the mark happened:
-/// the reduction applies every mark with seq <= s before accounting send s,
-/// which reproduces the sequential interleaving exactly.
+/// One algorithm-facing probe mutation recorded during a sync round chunk
+/// (SyncRunner::step_chunk) instead of applied immediately: mark_phase /
+/// mark_class / add_counter all mutate shared intern tables, and a send's
+/// phase attribution depends on the exact mark-vs-send interleaving — so
+/// chunks append DeferredMarks and the engine's sequential reduction
+/// replays them in active-set order. `seq` is the number of sends the
+/// recording chunk had emitted when the mark happened: the reduction
+/// applies every mark with seq <= s before accounting send s, which
+/// reproduces the mark-vs-send interleaving exactly.
 struct DeferredMark {
   enum class Kind : std::uint8_t { kPhase, kClass, kCounter };
   std::uint64_t seq = 0;

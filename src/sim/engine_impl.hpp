@@ -23,13 +23,20 @@
 // simulated complexity proportional to actual activity.
 //
 // The round's active set is built without sorting or allocating. Every node
-// has one mark byte (kept in the RunWorkspace). request_tick, the round's
-// adversary-wake slice and the end of a nap set it; one ascending sweep
-// over marks and inboxes then emits the active set already sorted and
-// deduplicated, clearing each mark as it goes. A node due for several
-// reasons at once (two tick requests, a message and an adversary wake) is
-// stepped once. Nap ends are kept in a std::map keyed by round; only the
-// sleeping-model families ever fill it.
+// has one mark byte (kept in the RunWorkspace). A tick request (applied by
+// the reduction below), the round's adversary-wake slice and the end of a
+// nap set it; one ascending sweep over marks and inboxes then emits the
+// active set already sorted and deduplicated, clearing each mark as it
+// goes. A node due for several reasons at once (two tick requests, a
+// message and an adversary wake) is stepped once. Nap ends are kept in a
+// std::map keyed by round; only the sleeping-model families ever fill it.
+//
+// Every round is stepped one way: the active set is cut into
+// SyncParallel::jobs contiguous chunks (one, run inline, by default). Each
+// chunk records its sends and shared effects into a SyncChunkOutbox, one
+// sequential reduction applies them in active-set order, and a scatter
+// moves the messages into next round's inboxes — so results are the same
+// for any chunk count and executor (SyncRunner::step_round, DESIGN.md §14).
 //
 // Sleeping model (SyncRunLimits::sleeping_model): nodes may additionally
 // declare themselves asleep with Context::sleep_until(r) — they are not
@@ -266,40 +273,18 @@ class AsyncRunner {
 template <class Handler>
 class SyncRunner;
 
+/// Context used while stepping a node inside a round chunk
+/// (SyncRunner::step_chunk). Sends are *recorded* into the chunk's outbox
+/// instead of applied, and tick requests / naps land in the node's
+/// SyncStepRecord, so the reduction can apply every shared-state effect in
+/// active-set order. Reads (now, local_round, rng, advice, probe, ...) touch
+/// only state that is frozen or owned by the stepped node during the step
+/// phase.
 template <class Handler>
 class SyncRunnerContext final : public CoreContext {
  public:
-  SyncRunnerContext(SyncRunner<Handler>& engine, EngineCore& core)
-      : CoreContext(core), engine_(engine) {}
-
-  void send(Port p, Message msg) override {
-    engine_.send_from(node_, p, std::move(msg));
-  }
-  Time now() const override { return engine_.round(); }
-  std::uint64_t local_round() const override {
-    return engine_.local_round(node_);
-  }
-  void request_tick() override { engine_.request_tick(node_); }
-  void sleep_until(Time round) override {
-    engine_.sleep_until(node_, round);
-  }
-
- private:
-  SyncRunner<Handler>& engine_;
-};
-
-/// Context used while stepping a node inside a parallel chunk
-/// (SyncRunner::step_parallel). Sends are *recorded* into the chunk's
-/// outbox instead of applied, and tick requests / naps land in the node's
-/// SyncStepRecord, so the sequential reduction can apply every shared-state
-/// effect in exactly the order the single-thread loop would have. Reads
-/// (now, local_round, rng, advice, probe, ...) touch only state that is
-/// frozen or owned by the stepped node during the step phase.
-template <class Handler>
-class ParSyncContext final : public CoreContext {
- public:
-  ParSyncContext(SyncRunner<Handler>& engine, EngineCore& core,
-                 SyncChunkOutbox& outbox)
+  SyncRunnerContext(SyncRunner<Handler>& engine, EngineCore& core,
+                    SyncChunkOutbox& outbox)
       : CoreContext(core), engine_(engine), outbox_(outbox) {}
 
   void attach_step(NodeId u, SyncStepRecord* step) {
@@ -328,22 +313,26 @@ class ParSyncContext final : public CoreContext {
 template <class Handler>
 class SyncRunner {
  public:
-  /// `parallel` (optional) turns on round-parallel stepping: each stepped
-  /// round is partitioned into `parallel.jobs` contiguous chunks of the
-  /// sorted active set, chunks run on the executor, and a sequential
-  /// reduction applies metrics / trace / probe effects in active-set order
-  /// — so the run is bit-identical to the sequential path for any job
-  /// count. See step_parallel below and DESIGN.md §14.
+  /// Each stepped round is partitioned into `parallel.jobs` contiguous
+  /// chunks of the sorted active set; the chunks run on `parallel.executor`
+  /// (inline when it is null), and a sequential reduction applies metrics /
+  /// trace / probe effects in active-set order — so the run is
+  /// bit-identical for any chunk count and executor. See step_round below
+  /// and DESIGN.md §14.
   SyncRunner(Handler& handler, EngineCore& core, const WakeSchedule& schedule,
              const SyncRunLimits& limits, RunWorkspace* workspace,
              SyncParallel parallel = {})
       : handler_(handler),
         core_(core),
         limits_(limits),
-        parallel_(parallel),
-        ctx_(*this, core),
+        executor_(parallel.executor),
         workspace_(workspace),
         probe_(core.probe()) {
+    RISE_CHECK_MSG(parallel.jobs >= 1, "SyncParallel::jobs must be >= 1");
+    if (executor_ == nullptr) {
+      static SerialChunkExecutor inline_executor;
+      executor_ = &inline_executor;
+    }
     if (probe_ != nullptr) probe_->set_backend("sync");
     const Instance& instance = core_.instance();
     n_ = instance.num_nodes();
@@ -376,10 +365,7 @@ class SyncRunner {
     // wake-cause lookup is a membership test.
     std::sort(wakes_.begin(), wakes_.end());
     active_.clear();
-    if (parallel_.enabled()) {
-      outboxes_.resize(parallel_.jobs);
-      for (SyncChunkOutbox& ob : outboxes_) ob.reset(parallel_.jobs);
-    }
+    outboxes_.resize(parallel.jobs);
   }
 
   ~SyncRunner() {
@@ -475,11 +461,7 @@ class SyncRunner {
       }
 
       // 3. Step every active node.
-      if (parallel_.enabled()) {
-        step_parallel();
-      } else {
-        step_sequential();
-      }
+      step_round();
       metrics.events += active_.size();
       metrics.rounds = round_ + 1;
       if (probe_ != nullptr) probe_->on_sync_round(active_.size());
@@ -487,87 +469,30 @@ class SyncRunner {
     return core_.take_result();
   }
 
-  void send_from(NodeId from, Port p, Message msg) {
-    const Instance& instance = core_.instance();
-    RISE_CHECK_MSG(p < instance.graph().degree(from),
-                   "send on invalid port " << p << " at node " << from);
-    core_.account_send(from, msg, round_);
-    RISE_CHECK_MSG(core_.result().metrics.messages <= limits_.max_messages,
-                   "sync engine exceeded max_messages");
-    const NodeId to = instance.port_to_neighbor(from, p);
-    if (core_.trace() != nullptr) {
-      core_.trace()->on_send(round_, from, to, msg);
-      // Sleeping model: delivery is conditional on the receiver being awake
-      // next round, so run() traces it after the nap filter instead.
-      if (!limits_.sleeping_model) {
-        core_.trace()->on_deliver(round_ + 1, from, to, msg);
-      }
-    }
-    const Port receiver_port = instance.reverse_port(from, p);
-    next_inbox_[to].push_back(Incoming{receiver_port, std::move(msg)});
-  }
-
-  /// ParSyncContext::send, worker side: validate the port (same check, and
-  /// therefore the same failure text, as send_from), resolve the receiver,
-  /// and append the message to the outbox bucket owned by the scatter
-  /// worker that will deliver it. All accounting, limit checks and trace
-  /// events happen later, in reduce_outboxes, in sequential order.
-  void record_send(SyncChunkOutbox& ob, NodeId from, Port p, Message msg) {
+  /// SyncRunnerContext::send: validate the port, resolve the receiver, and
+  /// append the message to the chunk's outbox. All accounting, limit
+  /// checks and trace events happen later, in reduce_outboxes, in
+  /// active-set order.
+  void record_send(SyncChunkOutbox& ob, NodeId from, Port p, Message&& msg) {
     const Instance& instance = core_.instance();
     RISE_CHECK_MSG(p < instance.graph().degree(from),
                    "send on invalid port " << p << " at node " << from);
     const NodeId to = instance.port_to_neighbor(from, p);
-    const Port receiver_port = instance.reverse_port(from, p);
-    const auto bucket = static_cast<std::size_t>(
-        static_cast<std::uint64_t>(to) * outboxes_.size() / n_);
-    std::vector<SyncSendRecord>& bin = ob.buckets[bucket];
-    bin.push_back(SyncSendRecord{to, receiver_port, std::move(msg)});
-    ob.order.push_back(
-        (static_cast<std::uint64_t>(bucket) << kOrderIndexBits) |
-        static_cast<std::uint64_t>(bin.size() - 1));
-    ++ob.sends;
+    ob.sends.emplace_back(instance.reverse_port(from, p), std::move(msg));
+    ob.receivers.push_back(to);
+    ++ob.num_sends;
   }
 
   Time round() const { return round_; }
   std::uint64_t local_round(NodeId u) const {
     return core_.is_awake(u) ? (round_ - wake_round_[u] + 1) : 0;
   }
-  void request_tick(NodeId u) { marks_[u] = 1; }
 
-  /// Context::sleep_until, engine side: the node naps over rounds
-  /// (round_, target) exclusive and is stepped again at `target`.
-  void sleep_until(NodeId u, Time target) {
-    sleep_checks(u, target);
-    asleep_until_[u] = target;
-    pending_sleep_wakes_[target].push_back(u);
-  }
-
-  /// ParSyncContext::sleep_until, worker side: same validation (same
-  /// failure texts), but only the node-owned asleep_until_ slot is written;
-  /// the shared pending_sleep_wakes_ registration is deferred to the
-  /// reduction via the step record.
+  /// SyncRunnerContext::sleep_until: the node naps over rounds
+  /// (round_, target) exclusive and is stepped again at `target`. Only the
+  /// node-owned asleep_until_ slot is written here; the reduction registers
+  /// the nap end from the step record.
   void sleep_local(NodeId u, Time target, SyncStepRecord& step) {
-    sleep_checks(u, target);
-    asleep_until_[u] = target;
-    step.slept = true;
-    step.sleep_target = target;
-  }
-
- private:
-  /// Width of the within-bucket index field in SyncChunkOutbox::order
-  /// entries; 2^40 comfortably exceeds max_messages, and the bucket id in
-  /// the high bits fits any plausible job count.
-  static constexpr unsigned kOrderIndexBits = 40;
-
-  /// Clears each recycled inbox (an aborted run can leave messages behind)
-  /// and sizes the vector for n nodes, keeping all inner capacity.
-  static void reset_boxes(std::vector<std::vector<Incoming>>& boxes,
-                          NodeId n) {
-    for (auto& box : boxes) box.clear();
-    boxes.resize(n);
-  }
-
-  void sleep_checks(NodeId u, Time target) const {
     RISE_CHECK_MSG(limits_.sleeping_model,
                    "sleep_until requires SyncRunLimits::sleeping_model");
     RISE_CHECK_MSG(target > round_,
@@ -575,6 +500,18 @@ class SyncRunner {
                                   << " must target a strictly future round");
     RISE_CHECK_MSG(asleep_until_[u] <= round_,
                    "node " << u << " re-declared sleep while a nap is pending");
+    asleep_until_[u] = target;
+    step.slept = true;
+    step.sleep_target = target;
+  }
+
+ private:
+  /// Clears each recycled inbox (an aborted run can leave messages behind)
+  /// and sizes the vector for n nodes, keeping all inner capacity.
+  static void reset_boxes(std::vector<std::vector<Incoming>>& boxes,
+                          NodeId n) {
+    for (auto& box : boxes) box.clear();
+    boxes.resize(n);
   }
 
   /// Was u woken by the adversary *this round*? Binary search over the
@@ -588,32 +525,9 @@ class SyncRunner {
     return it != round_wakes_end_ && it->second == u;
   }
 
-  void step_sequential() {
-    std::vector<std::uint32_t>& awake_rounds = core_.result().awake_rounds;
-    for (NodeId u : active_) {
-      ++awake_rounds[u];
-      ctx_.attach(u);
-      if (!core_.is_awake(u)) {
-        const WakeCause cause = adversary_woke(u) ? WakeCause::kAdversary
-                                                  : WakeCause::kMessage;
-        // local_round() must read 1 inside on_wake, so set the base first.
-        wake_round_[u] = round_;
-        core_.mark_awake(u, round_, cause);
-        handler_.on_wake(ctx_, cause);
-        ctx_.attach(u);  // on_wake may not change it, but be explicit
-      }
-      if (!inbox_[u].empty()) {
-        core_.account_delivery(u, round_, inbox_[u].size());
-      }
-      handler_.on_round(ctx_, inbox_[u]);
-      inbox_[u].clear();
-    }
-  }
-
-  // ---- round-parallel stepping -----------------------------------------
+  // ---- stepping one round ----------------------------------------------
   //
-  // Three-phase execution of one stepped round, bit-identical to
-  // step_sequential for any job count:
+  // Three phases, bit-identical for any chunk count:
   //
   //   1. step (parallel): chunk c steps active_[c*A/jobs, (c+1)*A/jobs).
   //      Workers touch only node-owned state (awake flag, wake_round_,
@@ -621,36 +535,35 @@ class SyncRunner {
   //      record everything shared — sends, wake causes, delivered counts,
   //      naps, tick requests, probe marks — into their chunk outbox.
   //   2. reduce (sequential): walk outboxes in chunk order, steps in step
-  //      order, replaying wake accounting, per-send accounting + CONGEST /
+  //      order, applying wake accounting, per-send accounting + CONGEST /
   //      max_messages checks + trace events, deferred probe marks (by send
-  //      sequence number), nap registrations and tick requests — the exact
-  //      interleaving the sequential loop produces.
-  //   3. scatter (parallel): worker j moves every chunk's bucket-j send
-  //      records into the receivers' next_inbox_. Receiver u is in bucket
-  //      u*jobs/n, so exactly one worker ever touches next_inbox_[u], and
-  //      walking chunks in order reproduces the sequential per-receiver
-  //      arrival order.
+  //      sequence number), nap registrations and tick requests — in
+  //      active-set order, the order each node's effects happened in.
+  //   3. scatter (parallel): worker j moves every chunk's send records
+  //      for receivers in [j*n/jobs, (j+1)*n/jobs) into their next_inbox_.
+  //      Exactly one worker ever touches next_inbox_[u], and walking
+  //      chunks in order puts each receiver's mail in active-set send
+  //      order.
   //
   // A worker-side failure (invalid port, sleep-contract violation) is
   // caught into its chunk's outbox together with the failing step's
   // partial record, sends up to the throw included. The reduction walks
   // chunks in order up to and including that step, then rethrows: a
-  // reduction-side error (CONGEST / max_messages) the sequential loop
-  // would have hit first is raised first, and otherwise the stored error
-  // is — the sequential loop's error in either case.
-  void step_parallel() {
+  // reduction-side error (CONGEST / max_messages) raised by an earlier
+  // send wins, and otherwise the stored error is raised — the first error
+  // in active-set order either way, for any chunk count.
+  void step_round() {
     const std::size_t jobs = outboxes_.size();
-    for (SyncChunkOutbox& ob : outboxes_) ob.reset(jobs);
-    parallel_.executor->run(jobs, &SyncRunner::step_chunk_thunk, this);
+    executor_->run(jobs, &SyncRunner::step_chunk_thunk, this);
     reduce_outboxes();
-    parallel_.executor->run(jobs, &SyncRunner::scatter_chunk_thunk, this);
+    executor_->run(jobs, &SyncRunner::scatter_chunk_thunk, this);
   }
 
   static void step_chunk_thunk(void* arg, std::size_t chunk) {
     static_cast<SyncRunner*>(arg)->step_chunk(chunk);
   }
-  static void scatter_chunk_thunk(void* arg, std::size_t bucket) {
-    static_cast<SyncRunner*>(arg)->scatter_chunk(bucket);
+  static void scatter_chunk_thunk(void* arg, std::size_t part) {
+    static_cast<SyncRunner*>(arg)->scatter_chunk(part);
   }
 
   void step_chunk(std::size_t chunk) noexcept {
@@ -660,24 +573,23 @@ class SyncRunner {
     const std::size_t begin = chunk * total / jobs;
     const std::size_t end = (chunk + 1) * total / jobs;
     std::vector<std::uint32_t>& awake_rounds = core_.result().awake_rounds;
-    obs::DeferredMarkScope defer(&ob.marks, &ob.sends);
-    ParSyncContext<Handler> ctx(*this, core_, ob);
-    SyncStepRecord st;
+    ob.reset();  // last round's records, already moved from by the scatter
+    obs::DeferredMarkScope defer(&ob.marks, &ob.num_sends);
+    SyncRunnerContext<Handler> ctx(*this, core_, ob);
     try {
-      // Room for every record, so the catch below never reallocates.
+      // Room for every record, so `st` stays valid while its node steps.
       ob.steps.reserve(end - begin);
       for (std::size_t i = begin; i < end; ++i) {
         const NodeId u = active_[i];
-        st = SyncStepRecord{};
+        SyncStepRecord& st = ob.steps.emplace_back();
         st.node = u;
-        st.send_begin = static_cast<std::uint32_t>(ob.order.size());
         ++awake_rounds[u];
         ctx.attach_step(u, &st);
         if (!core_.is_awake(u)) {
           st.woke = true;
           st.cause = adversary_woke(u) ? WakeCause::kAdversary
                                        : WakeCause::kMessage;
-          // local_round() must read 1 inside on_wake, same as sequential.
+          // local_round() must read 1 inside on_wake, so set the base first.
           wake_round_[u] = round_;
           core_.mark_awake_local(u, round_);
           handler_.on_wake(ctx, st.cause);
@@ -686,22 +598,21 @@ class SyncRunner {
         st.delivered = static_cast<std::uint32_t>(inbox_[u].size());
         handler_.on_round(ctx, inbox_[u]);
         inbox_[u].clear();
-        st.send_end = static_cast<std::uint32_t>(ob.order.size());
-        ob.steps.push_back(st);
+        st.send_end = static_cast<std::uint32_t>(ob.sends.size());
       }
     } catch (...) {
       ob.error = std::current_exception();
-      // The failing step's sends before the throw, for the reduction.
-      st.send_end = static_cast<std::uint32_t>(ob.order.size());
-      ob.steps.push_back(st);
+      // The failing step keeps its sends before the throw, for the
+      // reduction.
+      if (!ob.steps.empty()) {
+        ob.steps.back().send_end = static_cast<std::uint32_t>(ob.sends.size());
+      }
     }
   }
 
   void reduce_outboxes() {
     Metrics& metrics = core_.result().metrics;
     TraceSink* trace = core_.trace();
-    constexpr std::uint64_t kIndexMask =
-        (std::uint64_t{1} << kOrderIndexBits) - 1;
     for (SyncChunkOutbox& ob : outboxes_) {
       auto mark = ob.marks.begin();
       std::uint64_t s = 0;
@@ -714,26 +625,24 @@ class SyncRunner {
             if (probe_ != nullptr) probe_->replay(*mark);
             ++mark;
           }
-          const std::uint64_t packed = ob.order[s];
-          const SyncSendRecord& rec =
-              ob.buckets[packed >> kOrderIndexBits][packed & kIndexMask];
-          core_.account_send(st.node, rec.msg, round_);
+          const Message& msg = ob.sends[s].msg;
+          core_.account_send(st.node, msg, round_);
           RISE_CHECK_MSG(metrics.messages <= limits_.max_messages,
                          "sync engine exceeded max_messages");
           if (trace != nullptr) {
-            trace->on_send(round_, st.node, rec.to, rec.msg);
+            const NodeId to = ob.receivers[s];
+            trace->on_send(round_, st.node, to, msg);
             // Sleeping model: delivery is conditional on the receiver
-            // being awake next round; run() traces it after the nap
-            // filter, exactly as send_from does sequentially.
+            // being awake next round, so run() traces it after the nap
+            // filter instead.
             if (!limits_.sleeping_model) {
-              trace->on_deliver(round_ + 1, st.node, rec.to, rec.msg);
+              trace->on_deliver(round_ + 1, st.node, to, msg);
             }
           }
         }
-        // Sequential accounting applies the delivery between the on_wake
-        // and on_round sends; deliveries/received_per_node/last_delivery
-        // are commutative counters with no trace or probe hooks, so
-        // applying it after the step's sends yields identical totals.
+        // deliveries / received_per_node / last_delivery are commutative
+        // counters with no trace or probe hooks, so the step's delivery can
+        // be applied after its sends.
         if (st.delivered != 0) {
           core_.account_delivery(st.node, round_, st.delivered);
         }
@@ -744,26 +653,29 @@ class SyncRunner {
         if (probe_ != nullptr) probe_->replay(*mark);
       }
       // The failing step was this chunk's last record; every earlier
-      // effect in sequential order has now been applied.
+      // effect in active-set order has now been applied.
       if (ob.error != nullptr) std::rethrow_exception(ob.error);
     }
   }
 
-  void scatter_chunk(std::size_t bucket) noexcept {
+  void scatter_chunk(std::size_t part) noexcept {
+    const std::uint64_t parts = outboxes_.size();
+    const auto lo = static_cast<NodeId>(part * n_ / parts);
+    const auto width = static_cast<NodeId>((part + 1) * n_ / parts - lo);
     for (SyncChunkOutbox& ob : outboxes_) {
-      for (SyncSendRecord& rec : ob.buckets[bucket]) {
-        next_inbox_[rec.to].push_back(
-            Incoming{rec.receiver_port, std::move(rec.msg)});
+      for (std::size_t i = 0; i < ob.receivers.size(); ++i) {
+        const NodeId to = ob.receivers[i];
+        if (to - lo >= width) continue;  // another worker's receiver
+        next_inbox_[to].emplace_back(ob.sends[i].receiver_port,
+                                     std::move(ob.sends[i].msg));
       }
-      ob.buckets[bucket].clear();
     }
   }
 
   Handler& handler_;
   EngineCore& core_;
   SyncRunLimits limits_;
-  SyncParallel parallel_;
-  SyncRunnerContext<Handler> ctx_;
+  ChunkExecutor* executor_;
   RunWorkspace* workspace_;
   obs::Probe* probe_ = nullptr;
 
@@ -788,7 +700,7 @@ class SyncRunner {
   /// One byte per node, set when the node is due in the next sweep (tick
   /// request, adversary wake or nap end); the sweep clears it.
   std::vector<std::uint8_t> marks_;
-  std::vector<SyncChunkOutbox> outboxes_;  ///< one per job; parallel only
+  std::vector<SyncChunkOutbox> outboxes_;  ///< one per chunk
   /// Nap ends by round; sleeping model only, so a std::map is no cost
   /// elsewhere.
   std::map<Time, std::vector<NodeId>> pending_sleep_wakes_;

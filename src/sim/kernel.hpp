@@ -81,8 +81,8 @@ struct SyncKernelArgs {
   TraceSink* trace = nullptr;
   obs::Probe* probe = nullptr;
   RunWorkspace* workspace = nullptr;
-  /// Round-parallel stepping (sim/parallel.hpp); default = sequential.
-  /// Bit-identical results for any job count.
+  /// Round chunking (sim/parallel.hpp); default = one chunk, inline.
+  /// Bit-identical results for any chunk count.
   SyncParallel parallel;
 };
 
@@ -308,7 +308,7 @@ inline RunResult run_async(const Instance& instance, const DelayPolicy& delays,
 }
 
 /// One synchronous run of `kernel` (wake times are round numbers); fill
-/// SyncKernelArgs for a workspace, probe or round-parallel stepping.
+/// SyncKernelArgs for a workspace, probe or round chunking.
 inline RunResult run_sync(const Instance& instance,
                           const WakeSchedule& schedule, std::uint64_t seed,
                           const KernelRunner& kernel,

@@ -1,11 +1,12 @@
 // Intra-trial parallel execution plumbing (PR 10).
 //
-// The synchronous engine can step the active nodes of one round on several
-// threads (see SyncRunner::step_parallel in sim/engine_impl.hpp). The sim
-// layer cannot depend on runner::ThreadPool — app and runner already depend
-// on sim — so the engine talks to "something that runs N chunks" through
-// the ChunkExecutor interface below; runner::PoolChunkExecutor
-// (runner/thread_pool.hpp) adapts the campaign pool to it.
+// The synchronous engine steps the active nodes of every round as chunks
+// (see SyncRunner::step_round in sim/engine_impl.hpp), on one thread or on
+// several. The sim layer cannot depend on runner::ThreadPool — app and
+// runner already depend on sim — so the engine talks to "something that
+// runs N chunks" through the ChunkExecutor interface below;
+// runner::PoolChunkExecutor (runner/thread_pool.hpp) adapts the campaign
+// pool to it.
 //
 // The function-pointer signature (no std::function) is deliberate: the
 // executor is invoked twice per simulated round on the million-node hot
@@ -29,10 +30,9 @@ class ChunkExecutor {
                    void* arg) = 0;
 };
 
-/// Runs every chunk inline on the calling thread. Used as the default
-/// executor when trial_jobs > 1 but no thread pool is wired in: the engine
-/// still takes the chunked record/reduce/scatter code path (so tests and
-/// the fuzzer exercise it deterministically) without spawning threads.
+/// Runs every chunk inline on the calling thread. The engine uses one when
+/// no executor is wired in; tests pass one to run several chunks without
+/// spawning threads.
 class SerialChunkExecutor final : public ChunkExecutor {
  public:
   void run(std::size_t count, void (*fn)(void*, std::size_t),
@@ -41,13 +41,11 @@ class SerialChunkExecutor final : public ChunkExecutor {
   }
 };
 
-/// How a synchronous run parallelizes its rounds. Default-constructed =
-/// disabled = the historical single-thread step loop.
+/// How a synchronous run chunks its rounds. Results are bit-identical for
+/// any chunk count and any executor.
 struct SyncParallel {
-  ChunkExecutor* executor = nullptr;
-  std::uint32_t jobs = 1;  ///< chunks per round; 1 = sequential path
-
-  bool enabled() const { return jobs > 1 && executor != nullptr; }
+  ChunkExecutor* executor = nullptr;  ///< null = chunks run inline
+  std::uint32_t jobs = 1;             ///< chunks per round; at least 1
 };
 
 }  // namespace rise::sim

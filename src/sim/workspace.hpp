@@ -41,20 +41,18 @@ struct ChannelState {
   Time last_delivery = 0;       // FIFO clamp
 };
 
-/// One send recorded by a parallel sync chunk (SyncRunner::step_parallel),
-/// bucketed by which scatter worker owns the receiver. The sequential
-/// reduction reads `msg` for accounting/tracing; the scatter pass then
-/// moves it into the receiver's inbox.
+/// One send recorded by a sync round chunk (SyncRunner::step_chunk); its
+/// receiver is the matching SyncChunkOutbox::receivers entry. The
+/// sequential reduction reads `msg` for accounting/tracing; the scatter
+/// pass then moves it into the receiver's inbox.
 struct SyncSendRecord {
-  NodeId to = 0;
   Port receiver_port = kInvalidPort;
   Message msg;
 };
 
-/// Everything one stepped node did during a parallel sync chunk, in step
+/// Everything one stepped node did during a sync round chunk, in step
 /// order. The sequential reduction replays these records to apply metrics,
-/// trace events, tick requests, and nap registrations in exactly the order
-/// the single-thread loop would have.
+/// trace events, tick requests, and nap registrations in active-set order.
 struct SyncStepRecord {
   NodeId node = 0;
   WakeCause cause = WakeCause::kAdversary;
@@ -62,34 +60,29 @@ struct SyncStepRecord {
   bool tick = false;
   bool slept = false;
   Time sleep_target = 0;
-  std::uint32_t delivered = 0;        ///< inbox size when stepped
-  std::uint32_t send_begin = 0;       ///< [send_begin, send_end) into `order`
-  std::uint32_t send_end = 0;
+  std::uint32_t delivered = 0;  ///< inbox size when stepped
+  std::uint32_t send_end = 0;   ///< this step's sends end here in `sends`
 };
 
-/// Per-chunk output of one parallel sync round. Pooled in RunWorkspace so
+/// Per-chunk output of one sync round. Pooled in RunWorkspace so
 /// steady-state rounds allocate nothing: every vector keeps its high-water
 /// capacity across rounds and trials.
 struct SyncChunkOutbox {
-  /// Sends grouped by scatter bucket (receiver-range owner), append order =
-  /// chunk-local send order restricted to that bucket.
-  std::vector<std::vector<SyncSendRecord>> buckets;
-  /// Chunk-local send order: entry s encodes (bucket << 40) | index, so the
-  /// reduction can walk sends in the exact order they happened while the
-  /// records themselves live pre-bucketed for the parallel scatter.
-  std::vector<std::uint64_t> order;
+  std::vector<SyncSendRecord> sends;  ///< in the chunk's send order
+  /// The receiver of sends[i], kept apart so each scatter worker can scan
+  /// for the receivers it owns without touching the others' records.
+  std::vector<NodeId> receivers;
   std::vector<SyncStepRecord> steps;
   std::vector<obs::DeferredMark> marks;  ///< deferred probe mutations
-  std::uint64_t sends = 0;               ///< == order.size(); mark seq source
-  std::exception_ptr error;              ///< first failure in this chunk
+  std::uint64_t num_sends = 0;  ///< == sends.size(); mark seq source
+  std::exception_ptr error;     ///< first failure in this chunk
 
-  void reset(std::size_t num_buckets) {
-    if (buckets.size() != num_buckets) buckets.resize(num_buckets);
-    for (auto& b : buckets) b.clear();
-    order.clear();
+  void reset() {
+    sends.clear();
+    receivers.clear();
     steps.clear();
     marks.clear();
-    sends = 0;
+    num_sends = 0;
     error = nullptr;
   }
 };
@@ -112,7 +105,7 @@ struct RunWorkspace {
   std::vector<std::pair<Time, NodeId>> sync_wakes;  // flat wake schedule
   std::vector<NodeId> sync_active;                  // per-round active set
   std::vector<std::uint8_t> sync_marks;             // per-node "due" marks
-  std::vector<SyncChunkOutbox> sync_outboxes;       // parallel rounds only
+  std::vector<SyncChunkOutbox> sync_outboxes;       // one per round chunk
 
   // Handler storage (sim/kernel.hpp): one type-tagged slot holding the
   // current algorithm type's node-state vector — a family's flat States, or

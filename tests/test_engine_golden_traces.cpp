@@ -10,18 +10,21 @@
 // output.
 //
 // The same scenarios additionally assert that the two event-timeline
-// backends (calendar/bucket queue vs binary heap) are interchangeable.
+// backends (calendar/bucket queue vs binary heap) are interchangeable, and
+// the synchronous ones that every chunk count of the round loop is.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 
+#include "algo/fast_wakeup.hpp"
 #include "algo/flooding.hpp"
 #include "algo/gossip.hpp"
 #include "algo/ranked_dfs.hpp"
 #include "algo/sleeping.hpp"
 #include "graph/generators.hpp"
 #include "sim/kernel.hpp"
+#include "sim/parallel.hpp"
 #include "sim/trace.hpp"
 
 namespace {
@@ -193,6 +196,34 @@ TEST(GoldenTraces, AsyncRankedDfsNoDiscardKt1) {
   check_async_golden(ranked_dfs_no_discard_scenario(), 11187109692023050234ULL);
 }
 
+/// Serializes a synchronous run; the sleeping-model variant below adds the
+/// awake accounting.
+using SyncDigestFn = std::string (*)(const sim::RunResult&, const std::string&);
+
+/// Runs a synchronous scenario with its rounds cut into 1, 2 and 5 chunks
+/// on the inline executor and checks every digest against the golden hash.
+void check_sync_golden(const sim::Instance& inst,
+                       const sim::WakeSchedule& schedule, std::uint64_t seed,
+                       const sim::KernelRunner& kernel,
+                       const sim::SyncRunLimits& limits, SyncDigestFn digest_of,
+                       std::uint64_t golden_hash) {
+  sim::SerialChunkExecutor serial;
+  for (const std::uint32_t jobs : {1u, 2u, 5u}) {
+    std::ostringstream trace;
+    sim::CsvTraceSink sink(trace);
+    sim::SyncKernelArgs args;
+    args.instance = &inst;
+    args.schedule = &schedule;
+    args.seed = seed;
+    args.limits = limits;
+    args.trace = &sink;
+    args.parallel = {&serial, jobs};
+    const auto r = kernel.run_sync(args);
+    EXPECT_EQ(fnv1a(digest_of(r, trace.str())), golden_hash)
+        << "round chunks: " << jobs;
+  }
+}
+
 TEST(GoldenTraces, SyncFlooding) {
   Rng grng(55);
   const auto g = graph::connected_gnp(50, 0.1, grng);
@@ -200,11 +231,8 @@ TEST(GoldenTraces, SyncFlooding) {
   opt.knowledge = sim::Knowledge::KT0;
   Rng irng(104);
   const auto inst = sim::Instance::create(g, opt, irng);
-  std::ostringstream trace;
-  sim::CsvTraceSink sink(trace);
-  const auto r = sim::run_sync(inst, sim::wake_single(3), 45,
-                               algo::flooding_kernel(), {}, &sink);
-  EXPECT_EQ(fnv1a(digest(r, trace.str())), 14962057253583692410ULL);
+  check_sync_golden(inst, sim::wake_single(3), 45, algo::flooding_kernel(), {},
+                    digest, 14962057253583692410ULL);
 }
 
 TEST(GoldenTraces, SyncGossipWithTicks) {
@@ -214,11 +242,26 @@ TEST(GoldenTraces, SyncGossipWithTicks) {
   opt.knowledge = sim::Knowledge::KT0;
   Rng irng(105);
   const auto inst = sim::Instance::create(g, opt, irng);
-  std::ostringstream trace;
-  sim::CsvTraceSink sink(trace);
-  const auto r = sim::run_sync(inst, sim::wake_single(0), 46,
-                               algo::push_gossip_kernel(10), {}, &sink);
-  EXPECT_EQ(fnv1a(digest(r, trace.str())), 3706472348911091400ULL);
+  check_sync_golden(inst, sim::wake_single(0), 46,
+                    algo::push_gossip_kernel(10), {}, digest,
+                    3706472348911091400ULL);
+}
+
+// FastWakeUp (Theorem 4) sends the most tick requests and the deepest
+// payloads of any synchronous family. Its hash was recorded by running
+// this test on commit 8695475, whose engine stepped one chunk with a
+// separate serial loop; 2 and 5 chunks matched it there too.
+TEST(GoldenTraces, SyncFastWakeupKt1) {
+  Rng grng(66);
+  const auto g = graph::connected_gnp(60, 0.1, grng);
+  sim::InstanceOptions opt;
+  opt.knowledge = sim::Knowledge::KT1;
+  Rng irng(110);
+  const auto inst = sim::Instance::create(g, opt, irng);
+  Rng srng(31);
+  check_sync_golden(inst, sim::wake_random_subset(60, 0.1, srng), 51,
+                    algo::fast_wakeup_kernel(), {}, digest,
+                    5674033838999817335ULL);
 }
 
 // ---- sleeping-model golden traces (PR 9) ---------------------------------
@@ -250,13 +293,10 @@ TEST(GoldenTraces, SyncSleepingMisStaggeredWakeup) {
   opt.bandwidth = sim::Bandwidth::CONGEST;
   Rng irng(106);
   const auto inst = sim::Instance::create(g, opt, irng);
-  std::ostringstream trace;
-  sim::CsvTraceSink sink(trace);
   Rng srng(29);
-  const auto r =
-      sim::run_sync(inst, sim::staggered_doubling(40, 2, 2.0, srng), 47,
-                    algo::sleeping_mis_kernel(), sleeping_limits(), &sink);
-  EXPECT_EQ(fnv1a(sleeping_digest(r, trace.str())), 4340464772212699452ULL);
+  check_sync_golden(inst, sim::staggered_doubling(40, 2, 2.0, srng), 47,
+                    algo::sleeping_mis_kernel(), sleeping_limits(),
+                    sleeping_digest, 4340464772212699452ULL);
 }
 
 TEST(GoldenTraces, SyncSleepingMatchingSingleWakeup) {
@@ -267,12 +307,9 @@ TEST(GoldenTraces, SyncSleepingMatchingSingleWakeup) {
   opt.bandwidth = sim::Bandwidth::CONGEST;
   Rng irng(107);
   const auto inst = sim::Instance::create(g, opt, irng);
-  std::ostringstream trace;
-  sim::CsvTraceSink sink(trace);
-  const auto r =
-      sim::run_sync(inst, sim::wake_single(5), 48,
-                    algo::sleeping_matching_kernel(), sleeping_limits(), &sink);
-  EXPECT_EQ(fnv1a(sleeping_digest(r, trace.str())), 14952119359751456757ULL);
+  check_sync_golden(inst, sim::wake_single(5), 48,
+                    algo::sleeping_matching_kernel(), sleeping_limits(),
+                    sleeping_digest, 14952119359751456757ULL);
 }
 
 /// Property: on fresh random graphs (not pinned), the two timeline backends

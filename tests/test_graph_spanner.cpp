@@ -7,10 +7,10 @@
 #include <string>
 #include <vector>
 
+#include "advice/spanner_scheme.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/high_girth.hpp"
-#include "support/math.hpp"
 
 namespace rise::graph {
 namespace {
@@ -187,13 +187,9 @@ std::vector<NamedGraph> equality_graphs() {
   return out;
 }
 
-unsigned corollary2_k(NodeId n) {
-  return std::max<unsigned>(2, floor_log2(std::max<std::uint64_t>(2, n)) + 1);
-}
-
 /// k = 1..5 plus Corollary 2's k for this graph's n.
 std::vector<unsigned> equality_ks(NodeId n) {
-  return {1u, 2u, 3u, 4u, 5u, corollary2_k(n)};
+  return {1u, 2u, 3u, 4u, 5u, advice::corollary2_k(n)};
 }
 
 TEST(Spanner, MatchesTheDepthBoundedBfsEdgeForEdge) {
@@ -213,7 +209,7 @@ TEST(Spanner, MatchesTheDepthBoundedBfsEdgeForEdge) {
 TEST(Spanner, MatchesTheDepthBoundedBfsAtTenThousandNodes) {
   Rng rng(18);
   const Graph g = connected_gnp(10000, 0.0008, rng);
-  for (const unsigned k : {1u, 2u, 3u, corollary2_k(g.num_nodes())}) {
+  for (const unsigned k : {1u, 2u, 3u, advice::corollary2_k(g.num_nodes())}) {
     const Graph s = greedy_spanner(g, k);
     EXPECT_EQ(s.edge_list(), reference_greedy_spanner(g, k)) << "k=" << k;
   }

@@ -20,8 +20,8 @@
 // *different* families, which exercises the typeid-tagged kernel-state slot
 // and the recycled Process vector side by side.
 // A second differential rides the same digest machinery: round-parallel
-// stepping (RunInstruments::trial_jobs) must be bit-identical to the
-// sequential lock-step path for every job count, every sync family, both
+// stepping (RunInstruments::trial_jobs) must be bit-identical to one chunk
+// per round for every job count, every sync family, both
 // the serial chunk executor and a real thread pool, and dirty workspaces.
 #include <gtest/gtest.h>
 
@@ -67,8 +67,8 @@ struct RunConfig {
   sim::EventQueue::Mode queue_mode = sim::EventQueue::Mode::kAuto;
   bool force_sync_engine = false;
   sim::RunWorkspace* workspace = nullptr;
-  /// > 1 turns on round-parallel stepping (serial executor unless
-  /// `trial_executor` is set, so the run stays threadless-deterministic).
+  /// Chunks per round (inline unless `trial_executor` is set, so the run
+  /// stays threadless-deterministic).
   std::uint32_t trial_jobs = 1;
   sim::ChunkExecutor* trial_executor = nullptr;
   /// Off for runs at scale, whose CSV trace would run to hundreds of MB.

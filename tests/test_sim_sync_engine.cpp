@@ -159,6 +159,19 @@ TEST(SyncEngine, MaxRoundsEnforced) {
                CheckError);
 }
 
+TEST(SyncEngine, ZeroChunksPerRoundIsRejected) {
+  // SyncParallel::jobs is the chunk count of every round; there is no
+  // chunk-free path for 0 to fall back on.
+  const auto g = graph::path(3);
+  const Instance inst = test::make_instance(g, Knowledge::KT1);
+  const WakeSchedule schedule = wake_single(0);
+  SyncKernelArgs args;
+  args.instance = &inst;
+  args.schedule = &schedule;
+  args.parallel.jobs = 0;
+  EXPECT_THROW(algo::flooding_kernel().run_sync(args), CheckError);
+}
+
 TEST(SyncEngine, DeterministicAcrossRuns) {
   Rng rng(5);
   const auto g = graph::connected_gnp(30, 0.15, rng);

@@ -5,8 +5,8 @@ Parses the ``PARHOST``/``PARJOB`` lines that ``bench_million_node`` prints —
 one PARJOB row per ``--trial-jobs`` value — and fails (exit 1) unless:
 
   * every row's ``digest`` equals the trial-jobs=1 row (the deterministic-
-    reduction contract: round-parallel execution is bit-identical to the
-    sequential lock-step path), and
+    reduction contract: every chunk count is bit-identical to one chunk
+    per round), and
   * every row's ``allocs`` is 0 (the steady-state zero-allocation contract
     extends to the parallel path), and
   * the largest-jobs row shows ``speedup >= --efficiency x
